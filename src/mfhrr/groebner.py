@@ -5,11 +5,13 @@ tuple) to Fraction.  Module terms are compared position-over-term: lower
 component wins, ties broken by the ring order (degrevlex by default).
 Ideals are rank-one modules.
 
-Cofactor certificates and syzygies both come from one construction: run
-Buchberger on the graph module {(g_k, e_k)} in F_r (+) F_s with the tag
-block ordered below the main block.  Basis elements with zero main part
-carry syzygies in their tags; normal forms of (p, 0) carry membership
-certificates.
+Cofactor certificates and syzygies both come from one construction,
+GraphBasis: Buchberger runs once per generator set, on the graph module
+{(g_k, e_k)} in F_r (+) F_s with the tag block ordered below the main
+block.  Basis elements with zero main part carry syzygies in their tags;
+normal forms of (p, 0) carry membership certificates, for as many targets
+as the caller has.  Each syzygy and certificate is verified once, exactly,
+against the caller's generators; a failed check raises VerificationError.
 """
 
 from __future__ import annotations
@@ -47,6 +49,10 @@ class InfiniteDimensionError(ValueError):
 
 class IsolatedSingularityError(ValueError):
     """The critical locus is not a finite scheme concentrated at the origin."""
+
+
+class VerificationError(RuntimeError):
+    """An exact re-check of a syzygy or cofactor certificate failed."""
 
 
 # -- term orders -------------------------------------------------------------
@@ -386,64 +392,69 @@ def quotient_basis(gb: GroebnerBasis):
 
 # -- graph-module constructions ----------------------------------------------
 
-def _graph_basis(gens, order, max_spairs=None):
-    """Groebner basis of {(g_k, e_k)} with tags ordered below the mains.
+class GraphBasis:
+    """Groebner basis of the graph module {(g_k, e_k)} of one generator set.
 
-    Returns (basis_elems, variables, main_ncomp, total_ncomp).
+    The tag block e_1, ..., e_s is ordered below the main block, so a basis
+    element whose lead lies in the tag block has zero main part and carries
+    a syzygy in its tags, and reducing (p, 0) to a remainder without main
+    part leaves minus a cofactor vector of p there.  Each syzygy and each
+    cofactor vector is checked against the generators as it is handed out.
     """
-    gens, variables, ncomp = _gens_info(gens)
-    s = len(gens)
-    total = ncomp + s
-    zero_m = (0,) * len(variables)
-    vectors = []
-    for k, g in enumerate(gens):
-        vec = dict(_to_vec(g, ncomp))
-        vec[(ncomp + k, zero_m)] = Fraction(1)
-        vectors.append(vec)
-    elems, stats = _buchberger_raw(vectors, order, False, max_spairs)
-    return elems, tuple(variables), ncomp, total, stats
 
+    def __init__(self, gens, order: str = "degrevlex", max_spairs=None):
+        gens, variables, self.ncomp = _gens_info(gens)
+        self.vars = tuple(variables)
+        self.gens = [_to_vec(g, self.ncomp) for g in gens]
+        tag = (0,) * len(self.vars)
+        graph = [{**g, (self.ncomp + k, tag): Fraction(1)}
+                 for k, g in enumerate(self.gens)]
+        elems, _ = _buchberger_raw(graph, order, False, max_spairs)
+        self.basis = _Basis(order)
+        for e in elems:
+            self.basis.add(e)
 
-def _split_main_tag(vec, ncomp):
-    main = {t: c for t, c in vec.items() if t[0] < ncomp}
-    tag = {(t[0] - ncomp, t[1]): c for t, c in vec.items() if t[0] >= ncomp}
-    return main, tag
+    def syzygies(self) -> list:
+        """Tuples c of Poly with sum c_k g_k = 0, generating all of them."""
+        ncomp = self.ncomp
+        return [self._verified({(c - ncomp, m): a for (c, m), a in e.items()}, {})
+                for e, (comp, _) in zip(self.basis.elems, self.basis.leads)
+                if comp >= ncomp]
+
+    def cofactors(self, target) -> tuple:
+        """Tuple c of Poly with sum c_k g_k = target; NotInIdealError otherwise."""
+        ncomp = self.ncomp
+        vec = _to_vec(target, ncomp)
+        rem, _ = _reduce_full(vec, self.basis)
+        if any(comp < ncomp for comp, _ in rem):
+            raise NotInIdealError("polynomial is not in the span of the generators")
+        return self._verified({(c - ncomp, m): -a for (c, m), a in rem.items()}, vec)
+
+    def _verified(self, tags, want) -> tuple:
+        """The tag vector as Poly cofactors, once sum c_k g_k = want holds."""
+        acc = {}
+        for (k, m), a in tags.items():
+            for (comp, gm), b in self.gens[k].items():
+                t = (comp, _mono_mul(m, gm))
+                c = acc.get(t, 0) + a * b
+                if c:
+                    acc[t] = c
+                else:
+                    del acc[t]
+        if acc != want:
+            raise VerificationError(
+                "graph-module tag vector does not recombine the generators "
+                "to the claimed target")
+        return _from_vec(tags, self.vars, len(self.gens))
 
 
 def member_with_cofactors(p, gens, order: str = "degrevlex", max_spairs=None):
     """Certificate p = sum_k c_k * gens[k]; raises NotInIdealError otherwise.
 
-    Returns the list of cofactor polynomials c_k.  The certificate is
-    re-verified exactly before returning.
+    Returns the list of cofactor polynomials c_k, verified exactly against
+    gens before returning.
     """
-    gens = list(gens)
-    elems, variables, ncomp, total, _ = _graph_basis(gens, order, max_spairs)
-    basis = _Basis(order)
-    for e in elems:
-        basis.add(e)
-    target = dict(_to_vec(p, ncomp))
-    rem, _ = _reduce_full(target, basis)
-    main, tag = _split_main_tag(rem, ncomp)
-    if main:
-        raise NotInIdealError("polynomial is not in the span of the generators")
-    s = len(gens)
-    cof_vec = _from_vec({(c, m): -a for (c, m), a in tag.items()}, variables, s)
-    # exact re-check
-    if isinstance(p, Poly):
-        acc = Poly.zero(variables)
-        for c_k, g_k in zip(cof_vec, gens):
-            acc = acc + c_k * g_k
-        if acc != p:
-            raise AssertionError("internal error: invalid membership certificate")
-    else:
-        n = len(p)
-        acc = [Poly.zero(variables) for _ in range(n)]
-        for c_k, g_k in zip(cof_vec, gens):
-            for i in range(n):
-                acc[i] = acc[i] + c_k * g_k[i]
-        if tuple(acc) != tuple(p):
-            raise AssertionError("internal error: invalid membership certificate")
-    return list(cof_vec)
+    return list(GraphBasis(gens, order, max_spairs).cofactors(p))
 
 
 def syzygies(gens, order: str = "degrevlex", max_spairs=None):
@@ -452,30 +463,7 @@ def syzygies(gens, order: str = "degrevlex", max_spairs=None):
     Each syzygy is a tuple of Poly of length len(gens).  Every returned
     vector is verified exactly.
     """
-    gens = list(gens)
-    elems, variables, ncomp, total, _ = _graph_basis(gens, order, max_spairs)
-    s = len(gens)
-    out = []
-    for e in elems:
-        main, tag = _split_main_tag(e, ncomp)
-        if main:
-            continue
-        syz = _from_vec(tag, variables, s)
-        out.append(syz)
-    # exact verification
-    for syz in out:
-        if isinstance(gens[0], Poly):
-            acc = Poly.zero(variables)
-            for c_k, g_k in zip(syz, gens):
-                acc = acc + c_k * g_k
-            assert acc.is_zero()
-        else:
-            for i in range(ncomp):
-                acc = Poly.zero(variables)
-                for c_k, g_k in zip(syz, gens):
-                    acc = acc + c_k * g_k[i]
-                assert acc.is_zero()
-    return out
+    return GraphBasis(gens, order, max_spairs).syzygies()
 
 
 def module_kernel(matrix, order: str = "degrevlex", max_spairs=None):
@@ -510,32 +498,23 @@ def subquotient_dim(ker_gens, im_gens, order: str = "degrevlex", max_spairs=None
             if any(not p.is_zero() for p in polys):
                 raise NonContainmentError(f"generator {i} lies outside the zero module")
         return 0
-    _, variables, ncomp = _gens_info(ker_gens)
-    s = len(ker_gens)
-    elems, _, _, _, _ = _graph_basis(ker_gens, order, max_spairs)
-    basis = _Basis(order)
-    for e in elems:
-        basis.add(e)
-
-    relations = list(syzygies(ker_gens, order, max_spairs))
-    zero_s = tuple(Poly.zero(variables) for _ in range(s))
+    # the quotient is F_s modulo the syzygies of ker_gens and the lifts of
+    # im_gens, all read off one graph basis
+    graph = GraphBasis(ker_gens, order, max_spairs)
+    relations = graph.syzygies()
     for idx, v in enumerate(im_gens):
-        rem, _ = _reduce_full(_to_vec(v, ncomp), basis)
-        main, tag = _split_main_tag(rem, ncomp)
-        if main:
+        try:
+            lift = graph.cofactors(v)
+        except NotInIdealError:
             raise NonContainmentError(
-                f"generator {idx} of the submodule is not contained in the module")
-        lift = _from_vec({(c, m): -a for (c, m), a in tag.items()}, variables, s)
-        if lift != zero_s:
+                f"generator {idx} of the submodule is not contained in the module"
+            ) from None
+        if any(not p.is_zero() for p in lift):
             relations.append(lift)
-
     if not relations:
-        relations = [zero_s]
-    nonzero = [rel for rel in relations if any(not p.is_zero() for p in rel)]
-    if not nonzero:
         # quotient is free of rank s: finite only if s == 0
         raise InfiniteDimensionError("subquotient contains a free module")
-    gb = buchberger(nonzero, order, max_spairs)
+    gb = buchberger(relations, order, max_spairs)
     try:
         qb = quotient_basis(gb)
     except NotZeroDimensionalError as e:

@@ -58,24 +58,20 @@ def complex_euler(C: Z2Complex) -> int:
     return h0 - h1
 
 
-def ext_dims(P: MatrixFactorization, Q: MatrixFactorization, *,
-             validate: bool = True) -> ExtReport:
+def ext_dims(P: MatrixFactorization, Q: MatrixFactorization) -> ExtReport:
     """Dimensions of the even and odd cohomology of hom_complex(P, Q).
 
     Requires the common potential to have an isolated critical point at the
-    origin; set validate=False to skip that check when the caller has
-    already established it.
+    origin, and checks that first.
     """
-    if validate:
-        check_isolated(P.f)
+    check_isolated(P.f)
     C = hom_complex(P, Q)
     h0, h1, prov = homology_dims(C)
     return ExtReport(h0, h1, h0 - h1, prov)
 
 
-def euler_chi(P: MatrixFactorization, Q: MatrixFactorization, *,
-              validate: bool = True) -> int:
-    return ext_dims(P, Q, validate=validate).chi
+def euler_chi(P: MatrixFactorization, Q: MatrixFactorization) -> int:
+    return ext_dims(P, Q).chi
 
 
 # -- independent cross-check ---------------------------------------------------

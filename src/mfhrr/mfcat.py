@@ -1,4 +1,4 @@
-"""Matrix factorizations and form-valued graded matrices.
+"""Matrix factorizations, their Hom complexes and their JSON form.
 
 A matrix factorization of f consists of two free Z/2-graded summands and
 odd maps delta0: E0 -> E1, delta1: E1 -> E0 with both composites equal to
@@ -14,7 +14,7 @@ import json
 from fractions import Fraction
 from typing import Sequence
 
-from .polyring import DiffForm, Poly, parse_poly
+from .polyring import Poly, parse_poly
 
 
 class MFValidationError(ValueError):
@@ -408,130 +408,6 @@ def hom_complex(P: MatrixFactorization, Q: MatrixFactorization) -> Z2Complex:
                     d1[row][col] = d1[row][col] + coeff
 
     return Z2Complex(variables, d0, d1)
-
-
-# -- graded matrices of differential forms ----------------------------------------
-
-class GradedMatrixForm:
-    """Square matrix of differential forms over a Z/2-graded basis.
-
-    The product follows the graded rule for End (x) forms: a form of odd
-    degree picks up a sign when passing an odd basis vector, entrywise
-    (A.B)_ik = sum_j sum_p (-1)^{p(|b_j| + |b_k|)} A^(p)_ij ^ B_jk.
-    """
-
-    __slots__ = ("vars", "parities", "entries")
-
-    def __init__(self, variables, parities, entries):
-        self.vars = tuple(variables)
-        self.parities = tuple(parities)
-        n = len(self.parities)
-        entries = tuple(tuple(row) for row in entries)
-        if len(entries) != n or any(len(row) != n for row in entries):
-            raise ValueError("entries must be square and match the parity vector")
-        for row in entries:
-            for w in row:
-                if not isinstance(w, DiffForm) or w.vars != self.vars:
-                    raise ValueError("entries must be DiffForms over the same variables")
-        self.entries = entries
-
-    @classmethod
-    def zero(cls, variables, parities):
-        z = DiffForm.zero(variables)
-        n = len(parities)
-        return cls(variables, parities, [[z] * n for _ in range(n)])
-
-    @classmethod
-    def identity(cls, variables, parities):
-        from .polyring import Poly as _P
-        one = DiffForm.from_poly(_P.one(variables))
-        z = DiffForm.zero(variables)
-        n = len(parities)
-        return cls(variables, parities,
-                   [[one if i == j else z for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_poly_matrix(cls, variables, parities, matrix):
-        return cls(variables, parities,
-                   [[DiffForm.from_poly(p) for p in row] for row in matrix])
-
-    def _same_shape(self, other):
-        if self.vars != other.vars or self.parities != other.parities:
-            raise ValueError("shape or grading mismatch")
-
-    def __add__(self, other):
-        self._same_shape(other)
-        return GradedMatrixForm(
-            self.vars, self.parities,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)])
-
-    def __neg__(self):
-        return GradedMatrixForm(self.vars, self.parities,
-                                [[-a for a in row] for row in self.entries])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return GradedMatrixForm(self.vars, self.parities,
-                                [[a.scale(c) for a in row] for row in self.entries])
-
-    def __matmul__(self, other):
-        self._same_shape(other)
-        n = len(self.parities)
-        par = self.parities
-        z = DiffForm.zero(self.vars)
-        split = [[w.split_by_parity() for w in row] for row in self.entries]
-        out = []
-        for i in range(n):
-            row = []
-            for k in range(n):
-                acc = z
-                for j in range(n):
-                    b = other.entries[j][k]
-                    if b.is_zero():
-                        continue
-                    ev, od = split[i][j]
-                    if not ev.is_zero():
-                        acc = acc + ev.wedge(b)
-                    if not od.is_zero():
-                        term = od.wedge(b)
-                        if (par[j] + par[k]) % 2:
-                            term = -term
-                        acc = acc + term
-                row.append(acc)
-            out.append(row)
-        return GradedMatrixForm(self.vars, self.parities, out)
-
-    def supertrace(self) -> DiffForm:
-        acc = DiffForm.zero(self.vars)
-        for c, par in enumerate(self.parities):
-            term = self.entries[c][c]
-            acc = acc + (-term if par else term)
-        return acc
-
-    def is_zero(self):
-        return all(w.is_zero() for row in self.entries for w in row)
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedMatrixForm):
-            return NotImplemented
-        return (self.vars == other.vars and self.parities == other.parities
-                and self.entries == other.entries)
-
-
-def supertrace(M: GradedMatrixForm) -> DiffForm:
-    return M.supertrace()
-
-
-def delta_form_matrix(P: MatrixFactorization) -> GradedMatrixForm:
-    """The total differential of P as a 0-form graded matrix."""
-    return GradedMatrixForm.from_poly_matrix(P.vars, P.parities(), P.delta_full())
-
-
-def d_entrywise(M: GradedMatrixForm) -> GradedMatrixForm:
-    return GradedMatrixForm(M.vars, M.parities,
-                            [[w.d() for w in row] for row in M.entries])
 
 
 # -- serialization ------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .groebner import IsolatedSingularityError, check_isolated
+from .groebner import GroebnerLimitError, VerificationError, check_isolated
 from .hkrtrace import cech_residue, chern_form, tr_nabla, tr_nabla_cech
 from .hochschild import (
     B_op,
@@ -205,24 +205,35 @@ def _load_entry_mf(spec, variables) -> MatrixFactorization:
 
 _ENTRY_CHECKS = ("hrr", "symmetry", "shift", "sum")
 
+# what loading or computing one corpus entry may raise: a malformed entry, a
+# rejected potential, an exhausted S-pair budget, a calibration mismatch or a
+# failed exact re-check.  Each fails that entry only.
+_ENTRY_ERRORS = (KeyError, ValueError, GroebnerLimitError, CalibrationError,
+                 VerificationError)
+
 
 def _run_entry(entry, only_checks=None, timings=False) -> dict:
     started = time.perf_counter()
-    name = entry.get("name") or entry.get("f", "?")
-    out = {"name": str(name), "pass": True}
+    name = str(entry.get("name") or entry.get("f", "?"))
     try:
-        variables = tuple(entry["vars"])
-        f = parse_poly(entry["f"], variables)
-        check_isolated(f)
-        mfs = [_load_entry_mf(s, variables) for s in entry.get("mfs", [])]
-        for P in mfs:
-            if P.f != f:
-                raise MFValidationError(
-                    f"corpus factorization of {P.f}, entry potential is {f}")
-    except (KeyError, ValueError, ChainError) as e:
-        out["error"] = f"{type(e).__name__}: {e}"
-        out["pass"] = False
-        return out
+        out = {"name": name, **_entry_checks(entry, only_checks)}
+    except _ENTRY_ERRORS as e:
+        return {"name": name, "pass": False, "error": f"{type(e).__name__}: {e}"}
+    if timings:
+        out["seconds"] = round(time.perf_counter() - started, 3)
+    return out
+
+
+def _entry_checks(entry, only_checks) -> dict:
+    out = {"pass": True}
+    variables = tuple(entry["vars"])
+    f = parse_poly(entry["f"], variables)
+    check_isolated(f)
+    mfs = [_load_entry_mf(s, variables) for s in entry.get("mfs", [])]
+    for P in mfs:
+        if P.f != f:
+            raise MFValidationError(
+                f"corpus factorization of {P.f}, entry potential is {f}")
     n = len(variables)
     checks = entry.get("checks") or _ENTRY_CHECKS
     if only_checks is not None:
@@ -258,8 +269,6 @@ def _run_entry(entry, only_checks=None, timings=False) -> dict:
                 and canonical_pairing_u0(mfs[a], s) == val[a][a] + val[a][c])
         out["sum"] = {"pass": good}
         out["pass"] = out["pass"] and good
-    if timings:
-        out["seconds"] = round(time.perf_counter() - started, 3)
     return out
 
 

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .groebner import (
+    GraphBasis,
     IsolatedSingularityError,
     NotZeroDimensionalError,
     buchberger,
     check_isolated,
-    member_with_cofactors,
     normal_form,
     quotient_basis,
 )
@@ -108,12 +108,10 @@ def _build_cover(denominators, gb, exponents, bound, order) -> DenominatorCover:
         exponents = tuple(exponents)
         if len(exponents) != n or any((not isinstance(e, int)) or e <= 0 for e in exponents):
             raise ValueError(f"bad cover exponents {exponents}")
-    rows = []
-    for i in range(n):
-        cof = member_with_cofactors(_pure_power(variables, i, exponents[i]),
-                                    denominators, order)
-        rows.append(tuple(cof))
-    return DenominatorCover(exponents, tuple(rows))
+    graph = GraphBasis(denominators, order)
+    rows = tuple(graph.cofactors(_pure_power(variables, i, e))
+                 for i, e in enumerate(exponents))
+    return DenominatorCover(exponents, rows)
 
 
 def jacobian_cover(f: Poly, exponents=None, order: str = "degrevlex") -> DenominatorCover:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mfhrr import groebner
 from mfhrr.groebner import (
     GroebnerLimitError,
     InfiniteDimensionError,
@@ -12,6 +13,7 @@ from mfhrr.groebner import (
     NonContainmentError,
     NotInIdealError,
     NotZeroDimensionalError,
+    VerificationError,
     buchberger,
     check_isolated,
     member_with_cofactors,
@@ -168,6 +170,50 @@ def test_subquotient_infinite():
 
 def test_subquotient_zero_quotient():
     assert subquotient_dim([P("x"), P("y")], [P("x"), P("y")]) == 0
+
+
+
+# -- one verified graph basis per generator set -------------------------------------
+
+def _count_raw_bases(monkeypatch):
+    calls = []
+    real = groebner._buchberger_raw
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_buchberger_raw", counted)
+    return calls
+
+
+def test_subquotient_builds_graph_basis_once(monkeypatch):
+    calls = _count_raw_bases(monkeypatch)
+    e1 = (P("1"), P("0"))
+    e2 = (P("0"), P("1"))
+    im = [(P("x"), P("0")), (P("y"), P("0")), (P("0"), P("x")), (P("0"), P("y"))]
+    assert subquotient_dim([e1, e2], im) == 2
+    assert len(calls) == 2  # the graph basis, then the relation basis
+
+
+def test_corrupted_graph_basis_is_caught(monkeypatch):
+    real = groebner._buchberger_raw
+
+    def corrupted(*args, **kwargs):
+        elems, stats = real(*args, **kwargs)
+        bad = []
+        for e in elems:
+            e = dict(e)
+            tag = max(e, key=lambda t: t[0])  # every graph element has a tag part
+            e[tag] *= 2
+            bad.append(e)
+        return bad, stats
+
+    monkeypatch.setattr(groebner, "_buchberger_raw", corrupted)
+    with pytest.raises(VerificationError):
+        syzygies([P("x"), P("y")])
+    with pytest.raises(VerificationError):
+        member_with_cofactors(P("y^3"), [P("x^2"), P("x*y + y^2")])
 
 
 # -- zero dimensionality ----------------------------------------------------------

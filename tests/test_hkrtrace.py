@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -187,6 +188,66 @@ def test_prime_squares_to_zero_on_ambient_differential(k_xy):
     D = MatrixForm.from_polys(XY, k_xy.parities(), k_xy.delta_full())
     R = D.prime()
     assert R.prime().is_zero()
+
+
+def test_supertrace_frozen_chern_square(k_xy):
+    dd = MatrixForm.from_polys(XY, k_xy.parities(), k_xy.delta_full()).prime()
+    want = DiffForm(XY, {(0, 1): parse_poly("-2", XY)})
+    assert dd.mul(dd).supertrace() == want
+
+
+def _random_form(rng, variables, degrees):
+    comps = {}
+    n = len(variables)
+    for k in degrees:
+        for idx in itertools.combinations(range(n), k):
+            terms = {}
+            for _ in range(2):
+                mono = tuple(rng.randrange(0, 3) for _ in range(n))
+                c = rng.randrange(-3, 4)
+                if c:
+                    terms[mono] = terms.get(mono, Fraction(0)) + c
+            p = Poly(variables, terms)
+            if p:
+                comps[idx] = comps.get(idx, Poly.zero(variables)) + p
+    return DiffForm(variables, comps)
+
+
+def _random_graded_matrix(rng, variables, parities, total_parity):
+    n = len(parities)
+    entries = {}
+    top = len(variables)
+    for i in range(n):
+        for j in range(n):
+            want = (total_parity + parities[i] + parities[j]) % 2
+            degrees = [k for k in range(top + 1) if k % 2 == want]
+            entries[(i, j)] = _random_form(rng, variables, degrees)
+    return MatrixForm(variables, parities, entries)
+
+
+def test_super_product_associative_and_supersymmetric():
+    rng = random.Random(7)
+    parities = (0, 1, 1)
+    for _ in range(12):
+        ta, tb = rng.randrange(2), rng.randrange(2)
+        A = _random_graded_matrix(rng, XY, parities, ta)
+        B = _random_graded_matrix(rng, XY, parities, tb)
+        C = _random_graded_matrix(rng, XY, parities, rng.randrange(2))
+        assert A.mul(B).mul(C).entries == A.mul(B.mul(C)).entries
+        lhs = A.mul(B).supertrace()
+        rhs = B.mul(A).supertrace()
+        if (ta * tb) % 2:
+            rhs = -rhs
+        assert lhs == rhs
+
+
+def test_identity_neutral():
+    rng = random.Random(3)
+    parities = (0, 0, 1)
+    A = _random_graded_matrix(rng, XY, parities, 1)
+    I = MatrixForm.identity(XY, parities)
+    assert A.mul(I).entries == A.entries
+    assert I.mul(A).entries == A.entries
 
 
 # ---- Chern forms -------------------------------------------------------------

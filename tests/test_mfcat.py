@@ -1,17 +1,11 @@
 from __future__ import annotations
 
-import random
-from fractions import Fraction
-
 import pytest
 
 from mfhrr.mfcat import (
-    GradedMatrixForm,
     MFValidationError,
     MatrixFactorization,
     Z2Complex,
-    d_entrywise,
-    delta_form_matrix,
     dual_mf,
     hom_complex,
     koszul_mf,
@@ -20,10 +14,9 @@ from mfhrr.mfcat import (
     mf_new,
     mf_to_json,
     shift_mf,
-    supertrace,
     tensor_mf,
 )
-from mfhrr.polyring import DiffForm, Poly, parse_poly
+from mfhrr.polyring import Poly, parse_poly
 
 XY = ("x", "y")
 
@@ -142,73 +135,6 @@ def test_hom_complex_larger():
 def test_z2complex_rejects_nonsquare_zero():
     with pytest.raises(MFValidationError):
         Z2Complex(XY, [[P("x")]], [[P("y")]])
-
-
-# -- graded form matrices --------------------------------------------------------------
-
-def test_supertrace_frozen_chern_square():
-    K = K_xy()
-    dd = d_entrywise(delta_form_matrix(K))
-    sq = dd @ dd
-    want = DiffForm(XY, {(0, 1): P("-2")})
-    assert supertrace(sq) == want
-
-
-def _random_form(rng, variables, degrees):
-    comps = {}
-    n = len(variables)
-    from itertools import combinations
-    for k in degrees:
-        for idx in combinations(range(n), k):
-            terms = {}
-            for _ in range(2):
-                mono = tuple(rng.randrange(0, 3) for _ in range(n))
-                c = rng.randrange(-3, 4)
-                if c:
-                    terms[mono] = terms.get(mono, Fraction(0)) + c
-            p = Poly(variables, terms)
-            if p:
-                comps[idx] = comps.get(idx, Poly.zero(variables)) + p
-    return DiffForm(variables, comps)
-
-
-def _random_graded_matrix(rng, variables, parities, total_parity):
-    n = len(parities)
-    rows = []
-    top = len(variables)
-    for i in range(n):
-        row = []
-        for j in range(n):
-            want = (total_parity + parities[i] + parities[j]) % 2
-            degrees = [k for k in range(top + 1) if k % 2 == want]
-            row.append(_random_form(rng, variables, degrees))
-        rows.append(row)
-    return GradedMatrixForm(variables, parities, rows)
-
-
-def test_super_product_associative_and_supersymmetric():
-    rng = random.Random(7)
-    parities = (0, 1, 1)
-    for _ in range(12):
-        ta, tb = rng.randrange(2), rng.randrange(2)
-        A = _random_graded_matrix(rng, XY, parities, ta)
-        B = _random_graded_matrix(rng, XY, parities, tb)
-        C = _random_graded_matrix(rng, XY, parities, rng.randrange(2))
-        assert ((A @ B) @ C).entries == (A @ (B @ C)).entries
-        lhs = supertrace(A @ B)
-        rhs = supertrace(B @ A)
-        if (ta * tb) % 2:
-            rhs = -rhs
-        assert lhs == rhs
-
-
-def test_identity_neutral():
-    rng = random.Random(3)
-    parities = (0, 0, 1)
-    A = _random_graded_matrix(rng, XY, parities, 1)
-    I = GradedMatrixForm.identity(XY, parities)
-    assert (A @ I).entries == A.entries
-    assert (I @ A).entries == A.entries
 
 
 # -- serialization ------------------------------------------------------------------------

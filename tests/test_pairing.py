@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from mfhrr import pairing
-from mfhrr.groebner import IsolatedSingularityError
+from mfhrr.groebner import ENV_MAX_SPAIRS, IsolatedSingularityError
 from mfhrr.hochschild import ChainError
 from mfhrr.homalg import euler_chi
 from mfhrr.mfcat import (MFValidationError, direct_sum_mf, koszul_mf, shift_mf,
@@ -162,6 +162,17 @@ def test_non_isolated_entry_rejected_run_continues():
     assert good["pass"] is True
     assert rep["summary"]["pass"] is False
 
+
+
+def test_spair_budget_fails_entries_not_the_run(monkeypatch):
+    monkeypatch.setenv(ENV_MAX_SPAIRS, "20")
+    rep = run_corpus(default_corpus(), suites=False)
+    assert len(rep["entries"]) == len(default_corpus())
+    failed = [e for e in rep["entries"] if "error" in e]
+    assert failed
+    assert all(e["error"].startswith("GroebnerLimitError") and e["pass"] is False
+               for e in failed)
+    assert rep["summary"]["pass"] is False
 
 def test_mismatched_entry_potential_rejected():
     entries = [{"name": "wrong", "vars": ["x", "y"], "f": "x*y",

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from mfhrr import groebner
 from mfhrr.groebner import IsolatedSingularityError, NotInIdealError, quotient_basis
 from mfhrr.polyring import Poly, parse_poly
 from mfhrr.residue import ResidueProblem, groth_residue, jacobian_cover, res_monomial
@@ -123,6 +124,21 @@ def test_cover_independence_cusp():
         prob = jac_problem(f, g)
         assert groth_residue(prob, small) == groth_residue(prob, big)
 
+
+
+def test_cover_rows_share_one_graph_basis(monkeypatch):
+    prob = jac_problem(P("x^2 + y^3"), Poly.one(XY))
+    calls = []
+    real = groebner._buchberger_raw
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_buchberger_raw", counted)
+    cover = prob.cover()
+    assert len(cover.cofactors) == 2
+    assert len(calls) == 1
 
 def test_foreign_cover_rejected():
     cov = jacobian_cover(P("x*y"))
