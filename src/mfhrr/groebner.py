@@ -162,9 +162,7 @@ def _reduce_full(v, basis: _Basis, want_quotients=False):
     return rem, quot
 
 
-def _max_spairs(limit):
-    if limit is not None:
-        return limit
+def _max_spairs():
     env = os.environ.get(ENV_MAX_SPAIRS)
     if env:
         try:
@@ -174,13 +172,13 @@ def _max_spairs(limit):
     return DEFAULT_MAX_SPAIRS
 
 
-def _buchberger_raw(vectors, order: str, use_product_criterion: bool, limit=None):
+def _buchberger_raw(vectors, order: str, use_product_criterion: bool):
     """Reduced Groebner basis of the module generated by the vectors.
 
     Returns (basis_elements, stats).  Elements are monic and sorted by
     leading term, smallest first.
     """
-    max_pairs = _max_spairs(limit)
+    max_pairs = _max_spairs()
     key = term_key(order)
     basis = _Basis(order)
     processed = 0
@@ -326,14 +324,14 @@ def _gens_info(gens):
     return gens, first[0].vars, len(first)
 
 
-def buchberger(gens, order: str = "degrevlex", max_spairs=None) -> GroebnerBasis:
+def buchberger(gens, order: str = "degrevlex") -> GroebnerBasis:
     """Reduced Groebner basis of the ideal or submodule generated by gens.
 
     gens: list of Poly (ideal) or list of equal-length Poly tuples (module).
     """
     gens, variables, ncomp = _gens_info(gens)
     vectors = [_to_vec(g, ncomp) for g in gens]
-    elems, stats = _buchberger_raw(vectors, order, ncomp == 1, max_spairs)
+    elems, stats = _buchberger_raw(vectors, order, ncomp == 1)
     return GroebnerBasis(tuple(variables), order, ncomp, elems, stats)
 
 
@@ -402,14 +400,14 @@ class GraphBasis:
     cofactor vector is checked against the generators as it is handed out.
     """
 
-    def __init__(self, gens, order: str = "degrevlex", max_spairs=None):
+    def __init__(self, gens, order: str = "degrevlex"):
         gens, variables, self.ncomp = _gens_info(gens)
         self.vars = tuple(variables)
         self.gens = [_to_vec(g, self.ncomp) for g in gens]
         tag = (0,) * len(self.vars)
         graph = [{**g, (self.ncomp + k, tag): Fraction(1)}
                  for k, g in enumerate(self.gens)]
-        elems, _ = _buchberger_raw(graph, order, False, max_spairs)
+        elems, _ = _buchberger_raw(graph, order, False)
         self.basis = _Basis(order)
         for e in elems:
             self.basis.add(e)
@@ -448,25 +446,25 @@ class GraphBasis:
         return _from_vec(tags, self.vars, len(self.gens))
 
 
-def member_with_cofactors(p, gens, order: str = "degrevlex", max_spairs=None):
+def member_with_cofactors(p, gens, order: str = "degrevlex"):
     """Certificate p = sum_k c_k * gens[k]; raises NotInIdealError otherwise.
 
     Returns the list of cofactor polynomials c_k, verified exactly against
     gens before returning.
     """
-    return list(GraphBasis(gens, order, max_spairs).cofactors(p))
+    return list(GraphBasis(gens, order).cofactors(p))
 
 
-def syzygies(gens, order: str = "degrevlex", max_spairs=None):
+def syzygies(gens, order: str = "degrevlex"):
     """Generators of the syzygy module {c : sum c_k gens[k] = 0}.
 
     Each syzygy is a tuple of Poly of length len(gens).  Every returned
     vector is verified exactly.
     """
-    return GraphBasis(gens, order, max_spairs).syzygies()
+    return GraphBasis(gens, order).syzygies()
 
 
-def module_kernel(matrix, order: str = "degrevlex", max_spairs=None):
+def module_kernel(matrix, order: str = "degrevlex"):
     """Kernel generators of the map F_s -> F_r given by a r x s Poly matrix.
 
     Returns a list of length-s tuples of Poly spanning the kernel.
@@ -480,10 +478,10 @@ def module_kernel(matrix, order: str = "degrevlex", max_spairs=None):
     if s == 0:
         return []
     cols = [tuple(matrix[i][j] for i in range(r)) for j in range(s)]
-    return syzygies(cols, order, max_spairs)
+    return syzygies(cols, order)
 
 
-def subquotient_dim(ker_gens, im_gens, order: str = "degrevlex", max_spairs=None) -> int:
+def subquotient_dim(ker_gens, im_gens, order: str = "degrevlex") -> int:
     """Rational dimension of (span ker_gens) / (span im_gens).
 
     Raises NonContainmentError if some im generator is outside the span of
@@ -500,7 +498,7 @@ def subquotient_dim(ker_gens, im_gens, order: str = "degrevlex", max_spairs=None
         return 0
     # the quotient is F_s modulo the syzygies of ker_gens and the lifts of
     # im_gens, all read off one graph basis
-    graph = GraphBasis(ker_gens, order, max_spairs)
+    graph = GraphBasis(ker_gens, order)
     relations = graph.syzygies()
     for idx, v in enumerate(im_gens):
         try:
@@ -514,7 +512,7 @@ def subquotient_dim(ker_gens, im_gens, order: str = "degrevlex", max_spairs=None
     if not relations:
         # quotient is free of rank s: finite only if s == 0
         raise InfiniteDimensionError("subquotient contains a free module")
-    gb = buchberger(relations, order, max_spairs)
+    gb = buchberger(relations, order)
     try:
         qb = quotient_basis(gb)
     except NotZeroDimensionalError as e:
@@ -531,7 +529,7 @@ class IsolatedReport:
     monomial_basis: list
 
 
-def check_isolated(f: Poly, order: str = "degrevlex", max_spairs=None) -> IsolatedReport:
+def check_isolated(f: Poly, order: str = "degrevlex") -> IsolatedReport:
     """Validate that f has an isolated critical point at the origin only.
 
     Checks: f and all partials vanish at 0; the Milnor algebra
@@ -548,7 +546,7 @@ def check_isolated(f: Poly, order: str = "degrevlex", max_spairs=None) -> Isolat
                 f"the origin is not a critical point: d/d{f.vars[i]} has a constant term")
     if all(p.is_zero() for p in partials):
         raise IsolatedSingularityError("f has identically vanishing gradient")
-    gb = buchberger(partials, order, max_spairs)
+    gb = buchberger(partials, order)
     try:
         qb = quotient_basis(gb)
     except NotZeroDimensionalError as e:

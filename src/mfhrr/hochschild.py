@@ -262,7 +262,7 @@ def polynomial_presentation(variables, curvature=None, *, laurent=(), label=None
         label or f"Q[{','.join(variables)}]")
 
 
-def koszul_generator_matrices(variables, ranks_check=None):
+def koszul_generator_matrices(variables):
     """Constant matrices of the wedge and contraction operators e_i, e_i*
     on the exterior algebra, in the subset basis order used by koszul_mf."""
     n = len(variables)

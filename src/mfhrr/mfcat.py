@@ -10,7 +10,6 @@ the source basis.
 from __future__ import annotations
 
 import itertools
-import json
 from fractions import Fraction
 from typing import Sequence
 
@@ -62,17 +61,6 @@ def mat_transpose(A):
     if not A:
         return ()
     return tuple(tuple(A[i][j] for i in range(len(A))) for j in range(len(A[0])))
-
-
-def zero_matrix(rows, cols, variables):
-    z = Poly.zero(variables)
-    return tuple(tuple(z for _ in range(cols)) for _ in range(rows))
-
-
-def identity_matrix(n, variables):
-    one = Poly.one(variables)
-    z = Poly.zero(variables)
-    return tuple(tuple(one if i == j else z for j in range(n)) for i in range(n))
 
 
 class MatrixFactorization:
@@ -148,6 +136,27 @@ def mf_new(variables, f: Poly, delta0, delta1) -> MatrixFactorization:
     return MatrixFactorization(variables, f, delta0, delta1)
 
 
+def _odd_map(variables, even, odd, entries):
+    """Blocks (delta0, delta1) of an odd map given on labeled basis vectors.
+
+    ``even`` and ``odd`` list the basis labels in basis order.  Each triple
+    (source, target, coeff) of ``entries``, source and target of opposite
+    parity, adds coeff to the matrix entry in the target's row and the
+    source's column; zero coefficients are skipped.
+    """
+    place = {label: (0, k) for k, label in enumerate(even)}
+    place.update({label: (1, k) for k, label in enumerate(odd)})
+    zero = Poly.zero(variables)
+    blocks = ([[zero] * len(even) for _ in odd], [[zero] * len(odd) for _ in even])
+    for source, target, coeff in entries:
+        if coeff:
+            parity, col = place[source]
+            row = place[target][1]
+            block = blocks[parity]
+            block[row][col] = block[row][col] + coeff
+    return blocks
+
+
 # -- Koszul factorizations -----------------------------------------------------
 
 def _subset_order(n: int):
@@ -181,32 +190,17 @@ def koszul_mf(variables, a: Sequence[Poly], b: Sequence[Poly]) -> MatrixFactoriz
     for ai, bi in zip(a, b):
         f = f + ai * bi
     even, odd = _subset_order(n)
-    index = {s: (0, k) for k, s in enumerate(even)}
-    index.update({s: (1, k) for k, s in enumerate(odd)})
 
-    d0 = [[Poly.zero(variables) for _ in even] for _ in odd]
-    d1 = [[Poly.zero(variables) for _ in odd] for _ in even]
+    def entries():
+        for s in even + odd:
+            for i in range(1, n + 1):
+                if i in s:
+                    yield s, tuple(x for x in s if x != i), a[i - 1] * ((-1) ** s.index(i))
+                else:
+                    below = sum(1 for x in s if x < i)
+                    yield s, tuple(sorted(s + (i,))), b[i - 1] * ((-1) ** below)
 
-    def add_entry(src, dst, coeff):
-        sp, si = index[src]
-        dp, di = index[dst]
-        if sp == 0:
-            d0[di][si] = d0[di][si] + coeff
-        else:
-            d1[di][si] = d1[di][si] + coeff
-
-    for s in even + odd:
-        for i in range(1, n + 1):
-            if i in s:
-                pos = s.index(i)
-                dst = tuple(x for x in s if x != i)
-                add_entry(s, dst, a[i - 1] * ((-1) ** pos))
-            else:
-                below = sum(1 for x in s if x < i)
-                dst = tuple(sorted(s + (i,)))
-                add_entry(s, dst, b[i - 1] * ((-1) ** below))
-
-    return MatrixFactorization(variables, f, d0, d1)
+    return MatrixFactorization(variables, f, *_odd_map(variables, even, odd, entries()))
 
 
 # -- functors -------------------------------------------------------------------
@@ -223,72 +217,49 @@ def shift_mf(P: MatrixFactorization) -> MatrixFactorization:
 
 
 def direct_sum_mf(P: MatrixFactorization, Q: MatrixFactorization) -> MatrixFactorization:
-    """Block-diagonal sum of two factorizations of the same potential."""
+    """Block-diagonal sum of two factorizations of the same potential.
+
+    Basis vectors are labeled (summand, index in its delta_full); each block
+    lists P's basis before Q's.
+    """
     if P.vars != Q.vars:
         raise MFValidationError("direct sum over different variable lists")
     if P.f != Q.f:
         raise MFValidationError("direct sum of different potentials")
-
-    def blocks(A, B, rows_a, cols_a, rows_b, cols_b):
-        za = zero_matrix(rows_a, cols_b, P.vars)
-        zb = zero_matrix(rows_b, cols_a, P.vars)
-        top = [list(A[i]) + list(za[i]) for i in range(rows_a)]
-        bot = [list(zb[i]) + list(B[i]) for i in range(rows_b)]
-        return top + bot
-
-    d0 = blocks(P.delta0, Q.delta0, P.rank1, P.rank0, Q.rank1, Q.rank0)
-    d1 = blocks(P.delta1, Q.delta1, P.rank0, P.rank1, Q.rank0, Q.rank1)
-    return MatrixFactorization(P.vars, P.f, d0, d1)
+    summands = tuple(enumerate((P, Q)))
+    even = [(m, i) for m, M in summands for i in range(M.rank0)]
+    odd = [(m, M.rank0 + k) for m, M in summands for k in range(M.rank1)]
+    entries = (((m, c), (m, r), coeff) for m, M in summands
+               for r, row in enumerate(M.delta_full()) for c, coeff in enumerate(row))
+    return MatrixFactorization(P.vars, P.f, *_odd_map(P.vars, even, odd, entries))
 
 
 def tensor_mf(P: MatrixFactorization, Q: MatrixFactorization) -> MatrixFactorization:
     """Tensor product factorization of f_P + f_Q.
 
-    Basis order: even part (P0 x Q0, then P1 x Q1), odd part
-    (P1 x Q0, then P0 x Q1).  delta(p (x) q) = delta(p) (x) q
+    Basis vectors are labeled (i, j) for p_i (x) q_j, indices in delta_full,
+    and ordered by (|p_i|, i, j): even part (P0 x Q0, then P1 x Q1), odd
+    part (P0 x Q1, then P1 x Q0).  delta(p (x) q) = delta(p) (x) q
     + (-1)^{|p|} p (x) delta(q).
     """
     if P.vars != Q.vars:
         raise MFValidationError("tensor factors over different variable lists")
-    variables = P.vars
-    dP = P.delta_full()
-    dQ = Q.delta_full()
-    pp = P.parities()
-    qp = Q.parities()
-    nP, nQ = len(pp), len(qp)
-    even = [(i, j) for i in range(nP) for j in range(nQ) if (pp[i] + qp[j]) % 2 == 0]
-    odd = [(i, j) for i in range(nP) for j in range(nQ) if (pp[i] + qp[j]) % 2 == 1]
-    # stable block order: P-parity of the pair decides the sub-block
-    even.sort(key=lambda t: (pp[t[0]], t))
-    odd.sort(key=lambda t: (pp[t[0]], t))
-    pos = {}
-    for k, t in enumerate(even):
-        pos[t] = (0, k)
-    for k, t in enumerate(odd):
-        pos[t] = (1, k)
+    dP, dQ = P.delta_full(), Q.delta_full()
+    pp, qp = P.parities(), Q.parities()
+    pairs = sorted(((i, j) for i in range(len(pp)) for j in range(len(qp))),
+                   key=lambda t: (pp[t[0]], t))
+    even = [(i, j) for i, j in pairs if pp[i] == qp[j]]
+    odd = [(i, j) for i, j in pairs if pp[i] != qp[j]]
 
-    d0 = [[Poly.zero(variables) for _ in even] for _ in odd]
-    d1 = [[Poly.zero(variables) for _ in odd] for _ in even]
+    def entries():
+        for i, j in pairs:
+            for r, row in enumerate(dP):
+                yield (i, j), (r, j), row[i]
+            sign = -1 if pp[i] else 1
+            for s, row in enumerate(dQ):
+                yield (i, j), (i, s), row[j] * sign
 
-    def add(src, dst, coeff):
-        if coeff.is_zero():
-            return
-        sp, si = pos[src]
-        dp, di = pos[dst]
-        if sp == 0:
-            d0[di][si] = d0[di][si] + coeff
-        else:
-            d1[di][si] = d1[di][si] + coeff
-
-    for (i, j) in even + odd:
-        for r in range(nP):
-            add((i, j), (r, j), dP[r][i])
-        sign = -1 if pp[i] else 1
-        for s in range(nQ):
-            add((i, j), (i, s), dQ[s][j] * sign)
-
-    f = P.f + Q.f
-    return MatrixFactorization(variables, f, d0, d1)
+    return MatrixFactorization(P.vars, P.f + Q.f, *_odd_map(P.vars, even, odd, entries()))
 
 
 # -- Z/2-graded complexes (delta^2 = 0) -------------------------------------------
@@ -317,97 +288,32 @@ class Z2Complex:
 def hom_complex(P: MatrixFactorization, Q: MatrixFactorization) -> Z2Complex:
     """Z/2-graded Hom complex from P to Q (for equal potentials).
 
-    C0 = Hom(P0,Q0) (+) Hom(P1,Q1), C1 = Hom(P0,Q1) (+) Hom(P1,Q0);
-    d0(phi) = delta_Q phi - phi delta_P, d1(psi) = delta_Q psi + psi delta_P.
-    Basis of each Hom block: elementary matrices ordered by (row, col).
+    The basis is the elementary maps E_rs (r, s indices in the delta_full of
+    Q and P), ordered by (|s|, r, s); |E_rs| = |r| + |s|, so C0 is
+    Hom(P0,Q0) (+) Hom(P1,Q1) and C1 is Hom(P0,Q1) (+) Hom(P1,Q0).  The
+    differential is d(phi) = delta_Q phi - (-1)^{|phi|} phi delta_P, i.e.
+    d(E_rs) = sum_t delta_Q[t][r] E_ts - (-1)^{|E_rs|} sum_t delta_P[s][t] E_rt.
     """
     if P.vars != Q.vars:
         raise MFValidationError("factorizations over different variable lists")
     if P.f != Q.f:
         raise MFValidationError("factorizations of different potentials")
-    variables = P.vars
-    p0, p1 = P.rank0, P.rank1
-    q0, q1 = Q.rank0, Q.rank1
+    dP, dQ = P.delta_full(), Q.delta_full()
+    pp, qp = P.parities(), Q.parities()
+    maps = sorted(((r, s) for r in range(len(qp)) for s in range(len(pp))),
+                  key=lambda e: (pp[e[1]], e))
+    even = [(r, s) for r, s in maps if qp[r] == pp[s]]
+    odd = [(r, s) for r, s in maps if qp[r] != pp[s]]
 
-    # block layouts: C0 basis = [(0, r, s) r<q0, s<p0] + [(1, r, s) r<q1, s<p1]
-    #                C1 basis = [(0, r, s) r<q1, s<p0] + [(1, r, s) r<q0, s<p1]
-    c0_blocks = ((q0, p0), (q1, p1))
-    c1_blocks = ((q1, p0), (q0, p1))
+    def entries():
+        for r, s in maps:
+            for t, row in enumerate(dQ):
+                yield (r, s), (t, s), row[r]
+            for t, coeff in enumerate(dP[s]):
+                if coeff:
+                    yield (r, s), (r, t), -coeff if qp[r] == pp[s] else coeff
 
-    def offsets(blocks):
-        out = [0]
-        for r, c in blocks:
-            out.append(out[-1] + r * c)
-        return out
-
-    off0 = offsets(c0_blocks)
-    off1 = offsets(c1_blocks)
-    dim0, dim1 = off0[-1], off1[-1]
-
-    def idx(offsets_, blocks, block, r, s):
-        return offsets_[block] + r * blocks[block][1] + s
-
-    d0 = [[Poly.zero(variables) for _ in range(dim0)] for _ in range(dim1)]
-    d1 = [[Poly.zero(variables) for _ in range(dim1)] for _ in range(dim0)]
-
-    # d0 on Hom(P0,Q0): +delta0_Q . phi  in Hom(P0,Q1);  -phi . delta1_P in Hom(P1,Q0)
-    for r in range(q0):
-        for s in range(p0):
-            col = idx(off0, c0_blocks, 0, r, s)
-            for t in range(q1):
-                coeff = Q.delta0[t][r]
-                if coeff:
-                    d0[idx(off1, c1_blocks, 0, t, s)][col] = coeff
-            for t in range(p1):
-                coeff = P.delta1[s][t]
-                if coeff:
-                    row = idx(off1, c1_blocks, 1, r, t)
-                    d0[row][col] = d0[row][col] - coeff
-    # d0 on Hom(P1,Q1): -psi... phi . delta0_P with minus in Hom(P0,Q1); +delta1_Q . phi in Hom(P1,Q0)
-    for r in range(q1):
-        for s in range(p1):
-            col = idx(off0, c0_blocks, 1, r, s)
-            for t in range(p0):
-                coeff = P.delta0[s][t]
-                if coeff:
-                    row = idx(off1, c1_blocks, 0, r, t)
-                    d0[row][col] = d0[row][col] - coeff
-            for t in range(q0):
-                coeff = Q.delta1[t][r]
-                if coeff:
-                    row = idx(off1, c1_blocks, 1, t, s)
-                    d0[row][col] = d0[row][col] + coeff
-    # d1 on Hom(P0,Q1): +delta1_Q . psi in Hom(P0,Q0); +psi . delta1_P in Hom(P1,Q1)... signs:
-    # d1(psi) = delta_Q psi + psi delta_P
-    for r in range(q1):
-        for s in range(p0):
-            col = idx(off1, c1_blocks, 0, r, s)
-            for t in range(q0):
-                coeff = Q.delta1[t][r]
-                if coeff:
-                    row = idx(off0, c0_blocks, 0, t, s)
-                    d1[row][col] = d1[row][col] + coeff
-            for t in range(p1):
-                coeff = P.delta1[s][t]
-                if coeff:
-                    row = idx(off0, c0_blocks, 1, r, t)
-                    d1[row][col] = d1[row][col] + coeff
-    # d1 on Hom(P1,Q0)
-    for r in range(q0):
-        for s in range(p1):
-            col = idx(off1, c1_blocks, 1, r, s)
-            for t in range(q1):
-                coeff = Q.delta0[t][r]
-                if coeff:
-                    row = idx(off0, c0_blocks, 1, t, s)
-                    d1[row][col] = d1[row][col] + coeff
-            for t in range(p0):
-                coeff = P.delta0[s][t]
-                if coeff:
-                    row = idx(off0, c0_blocks, 0, r, t)
-                    d1[row][col] = d1[row][col] + coeff
-
-    return Z2Complex(variables, d0, d1)
+    return Z2Complex(P.vars, *_odd_map(P.vars, even, odd, entries()))
 
 
 # -- serialization ------------------------------------------------------------------
@@ -432,7 +338,3 @@ def mf_from_json(data: dict) -> MatrixFactorization:
     except KeyError as e:
         raise MFValidationError(f"missing field {e} in matrix factorization JSON") from None
     return MatrixFactorization(variables, f, d0, d1)
-
-
-def mf_dumps(P: MatrixFactorization) -> str:
-    return json.dumps(mf_to_json(P), sort_keys=True, indent=2)

@@ -147,18 +147,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "Poly":
-        if k < 0:
-            raise ValueError("negative powers of general polynomials are not defined")
-        out = Poly.one(self.vars, self.laurent)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.vars, other, self.laurent)
@@ -180,17 +168,8 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(all(e == 0 for e in m) for m in self.terms)
-
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * len(self.vars), Fraction(0))
-
-    def total_degree(self) -> int:
-        """Max total degree, -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
 
     def coefficient(self, mono: Monomial) -> Fraction:
         return self.terms.get(tuple(mono), Fraction(0))
@@ -200,18 +179,6 @@ class Poly:
 
     def __iter__(self) -> Iterator[tuple[Monomial, Fraction]]:
         return iter(self.sorted_terms())
-
-    def eval_rational(self, point: Sequence[Fraction]) -> Fraction:
-        total = Fraction(0)
-        for mono, c in self.terms.items():
-            v = c
-            for e, p in zip(mono, point):
-                if e < 0:
-                    v *= Fraction(1) / (_coerce(p) ** (-e))
-                else:
-                    v *= _coerce(p) ** e
-            total += v
-        return total
 
     # -- calculus ----------------------------------------------------------
 

@@ -258,10 +258,11 @@ def test_isolated_rejects_offorigin_critical_point():
 
 # -- resource cap -----------------------------------------------------------------
 
-def test_spair_budget():
-    gens = [P("x^2"), P("x*y + y^2")]
+def test_spair_budget(monkeypatch):
+    # the graph-basis path (syzygies, cofactors, subquotients) obeys the cap too
+    monkeypatch.setenv("MFHRR_MAX_SPAIRS", "0")
     with pytest.raises(GroebnerLimitError):
-        buchberger(gens, max_spairs=0)
+        syzygies([P("x^2"), P("x*y + y^2")])
 
 
 def test_spair_budget_env(monkeypatch):

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from mfhrr.mfcat import (
     MFValidationError,
     MatrixFactorization,
     Z2Complex,
+    direct_sum_mf,
     dual_mf,
     hom_complex,
     koszul_mf,
@@ -110,6 +114,28 @@ def test_tensor():
     assert T.f == K.f
 
 
+def test_tensor_blocks():
+    # even basis (P0 x Q0, P1 x Q1), odd basis (P0 x Q1, P1 x Q0)
+    V4 = ("x1", "x2", "x3", "x4")
+    A = koszul_mf(V4, [parse_poly("x1", V4)], [parse_poly("x2", V4)])
+    B = koszul_mf(V4, [parse_poly("x3", V4)], [parse_poly("x4", V4)])
+    T = tensor_mf(A, B)
+
+    def matrix(*rows):
+        return tuple(tuple(parse_poly(s, V4) for s in row) for row in rows)
+
+    assert T.delta0 == matrix(("x4", "x1"), ("x2", "-x3"))
+    assert T.delta1 == matrix(("x3", "x1"), ("x2", "-x4"))
+
+
+def test_direct_sum_blocks():
+    # each block lists the summands in order: P's basis, then Q's
+    S = direct_sum_mf(K_xy(), koszul_mf(XY, [P("y")], [P("x")]))
+    assert S.f == P("x*y")
+    assert S.delta0 == ((P("y"), P("0")), (P("0"), P("x")))
+    assert S.delta1 == ((P("x"), P("0")), (P("0"), P("y")))
+
+
 # -- hom complexes ------------------------------------------------------------------
 
 def test_hom_complex_koszul_xy():
@@ -130,6 +156,52 @@ def test_hom_complex_larger():
     K = koszul_mf(XY, [P("x"), P("y")], [P("x"), P("y^2")])
     C = hom_complex(K, K)  # constructor verifies d.d = 0
     assert (C.rank0, C.rank1) == (8, 8)
+
+
+def _koszul_split(variables, exponents, seed):
+    """Koszul factorization of sum x_i^e_i, each term split at random."""
+    rng = random.Random(seed)
+    n = len(variables)
+    a, b = [], []
+    for i, e in enumerate(exponents):
+        k = rng.randint(1, e - 1)
+        c = Fraction(rng.choice([1, -1, 2, -3]), rng.choice([1, 2, 5]))
+        mono = [0] * n
+        mono[i] = k
+        a.append(Poly.monomial(variables, mono, c))
+        mono[i] = e - k
+        b.append(Poly.monomial(variables, mono, 1 / c))
+    return koszul_mf(variables, a, b)
+
+
+@pytest.mark.parametrize("variables,exponents", [
+    (("x", "y"), (3, 4)),
+    (("x", "y", "z"), (3, 4, 3)),
+])
+def test_hom_complex_matches_definition(variables, exponents):
+    # d(E) = delta_Q E - (-1)^{|E|} E delta_P on elementary maps E_rs,
+    # basis ordered by (|s|, r, s)
+    P_, Q_ = (_koszul_split(variables, exponents, seed) for seed in (1, 2))
+    assert P_ != Q_ and P_.f == Q_.f
+    C = hom_complex(P_, Q_)
+    pp, qp = P_.parities(), Q_.parities()
+    dP, dQ = P_.delta_full(), Q_.delta_full()
+    maps = sorted(((r, s) for r in range(len(qp)) for s in range(len(pp))),
+                  key=lambda e: (pp[e[1]], e))
+    even = [e for e in maps if qp[e[0]] == pp[e[1]]]
+    odd = [e for e in maps if qp[e[0]] != pp[e[1]]]
+    zero, one = Poly.zero(variables), Poly.one(variables)
+    for source, target, d in ((even, odd, C.d0), (odd, even, C.d1)):
+        assert len(d) == len(target)
+        for j, (r, s) in enumerate(source):
+            E = tuple(tuple(one if (i, k) == (r, s) else zero for k in range(len(pp)))
+                      for i in range(len(qp)))
+            sign = 1 if qp[r] == pp[s] else -1
+            left, right = mat_mul(dQ, E, variables), mat_mul(E, dP, variables)
+            want = {(i, k): left[i][k] - right[i][k] * sign
+                    for i in range(len(qp)) for k in range(len(pp))}
+            assert all(want[e].is_zero() for e in source)
+            assert [row[j] for row in d] == [want[e] for e in target]
 
 
 def test_z2complex_rejects_nonsquare_zero():
