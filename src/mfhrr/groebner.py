@@ -12,6 +12,9 @@ block.  Basis elements with zero main part carry syzygies in their tags;
 normal forms of (p, 0) carry membership certificates, for as many targets
 as the caller has.  Each syzygy and certificate is verified once, exactly,
 against the caller's generators; a failed check raises VerificationError.
+
+The engine takes ordinary polynomials only: a negative exponent raises
+LaurentError where a polynomial enters it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polyring import Poly, degrevlex_key
+from .polyring import LaurentError, Poly, degrevlex_key
 
 DEFAULT_MAX_SPAIRS = 10**6
 ENV_MAX_SPAIRS = "MFHRR_MAX_SPAIRS"
@@ -175,8 +178,8 @@ def _max_spairs():
 def _buchberger_raw(vectors, order: str, use_product_criterion: bool):
     """Reduced Groebner basis of the module generated by the vectors.
 
-    Returns (basis_elements, stats).  Elements are monic and sorted by
-    leading term, smallest first.
+    Returns (basis, stats), basis a _Basis whose elements are monic and
+    sorted by leading term, smallest first.
     """
     max_pairs = _max_spairs()
     key = term_key(order)
@@ -244,7 +247,8 @@ def _buchberger_raw(vectors, order: str, use_product_criterion: bool):
         if rem:
             push_pairs(basis.add(rem))
 
-    # minimalize: drop elements whose lead is divisible by another's
+    # minimalize: drop elements whose lead is divisible by another's,
+    # keeping the rest sorted by lead, smallest first
     order_idx = sorted(range(len(basis.elems)), key=lambda i: key(basis.leads[i]))
     kept: list[int] = []
     for i in order_idx:
@@ -255,27 +259,22 @@ def _buchberger_raw(vectors, order: str, use_product_criterion: bool):
         kept.append(i)
 
     minimal = _Basis(order)
-    for i in kept:
-        minimal.add(basis.elems[i])
+    minimal.elems = [basis.elems[i] for i in kept]
+    minimal.leads = [basis.leads[i] for i in kept]
 
-    # tail-reduce each against the others, then make monic
-    reduced: list[dict] = []
-    for pos in range(len(minimal.elems)):
-        v = minimal.elems[pos]
-        lead = minimal.leads[pos]
-        others = _Basis(order)
-        omap = [k for k in range(len(minimal.elems)) if k != pos]
-        for k in omap:
-            others.add(minimal.elems[k])
+    # tail-reduce each against the minimal basis, then make monic: an
+    # element's lead divides none of its own tail terms, and the leads stay
+    reduced = _Basis(order)
+    reduced.leads = minimal.leads
+    for v, lead in zip(minimal.elems, minimal.leads):
         tail = dict(v)
         del tail[lead]
-        tail, _ = _reduce_full(tail, others)
+        tail, _ = _reduce_full(tail, minimal)
         tail[lead] = v[lead]
         lc = tail[lead]
-        reduced.append({t: a / lc for t, a in tail.items()})
+        reduced.elems.append({t: a / lc for t, a in tail.items()})
 
-    reduced.sort(key=lambda w: key(v_lead(w, key)))
-    stats = {"spairs": processed, "basis_size": len(reduced)}
+    stats = {"spairs": processed, "basis_size": len(reduced.elems)}
     return reduced, stats
 
 
@@ -286,12 +285,15 @@ class GroebnerBasis:
     vars: tuple
     order: str
     ncomp: int
-    elements: list        # list of Vec dicts, monic, sorted
+    basis: _Basis         # monic Vec dicts sorted by lead, and their leads
     stats: dict
 
+    @property
+    def elements(self):
+        return self.basis.elems
+
     def lead_terms(self):
-        key = term_key(self.order)
-        return [v_lead(v, key) for v in self.elements]
+        return list(self.basis.leads)
 
 
 def _to_vec(g, ncomp) -> dict:
@@ -303,6 +305,9 @@ def _to_vec(g, ncomp) -> dict:
     vec = {}
     for comp, p in enumerate(g):
         for mono, c in p.terms.items():
+            if any(e < 0 for e in mono):
+                raise LaurentError(f"negative exponent in {p}: the Groebner engine "
+                                   "takes ordinary polynomials")
             vec[(comp, mono)] = c
     return vec
 
@@ -331,16 +336,13 @@ def buchberger(gens, order: str = "degrevlex") -> GroebnerBasis:
     """
     gens, variables, ncomp = _gens_info(gens)
     vectors = [_to_vec(g, ncomp) for g in gens]
-    elems, stats = _buchberger_raw(vectors, order, ncomp == 1)
-    return GroebnerBasis(tuple(variables), order, ncomp, elems, stats)
+    basis, stats = _buchberger_raw(vectors, order, ncomp == 1)
+    return GroebnerBasis(tuple(variables), order, ncomp, basis, stats)
 
 
 def normal_form(p, gb: GroebnerBasis):
     """Canonical remainder of p modulo the reduced basis."""
-    basis = _Basis(gb.order)
-    for e in gb.elements:
-        basis.add(e)
-    rem, _ = _reduce_full(_to_vec(p, gb.ncomp), basis, want_quotients=False)
+    rem, _ = _reduce_full(_to_vec(p, gb.ncomp), gb.basis)
     out = _from_vec(rem, gb.vars, gb.ncomp)
     return out[0] if isinstance(p, Poly) and gb.ncomp == 1 else out
 
@@ -407,10 +409,7 @@ class GraphBasis:
         tag = (0,) * len(self.vars)
         graph = [{**g, (self.ncomp + k, tag): Fraction(1)}
                  for k, g in enumerate(self.gens)]
-        elems, _ = _buchberger_raw(graph, order, False)
-        self.basis = _Basis(order)
-        for e in elems:
-            self.basis.add(e)
+        self.basis, _ = _buchberger_raw(graph, order, False)
 
     def syzygies(self) -> list:
         """Tuples c of Poly with sum c_k g_k = 0, generating all of them."""

@@ -64,14 +64,12 @@ class MatrixForm:
                    {(i, i): one for i in range(len(parities))})
 
     @classmethod
-    def from_polys(cls, variables, parities, rows, laurent=None):
+    def from_polys(cls, variables, parities, rows):
         entries = {}
         for r, row in enumerate(rows):
             for s, p in enumerate(row):
                 if not isinstance(p, Poly):
-                    p = Poly.const(variables, p, laurent)
-                elif laurent is not None:
-                    p = p.with_laurent(laurent)
+                    p = Poly.const(variables, p)
                 if p:
                     entries[(r, s)] = DiffForm.from_poly(p)
         return cls(variables, parities, entries)
@@ -160,13 +158,9 @@ class MatrixForm:
 # -- the trace map ----------------------------------------------------------
 
 
-def _laurent_flags(pres):
-    return tuple(i in pres.laurent for i in range(len(pres.variables)))
-
-
-def _letter_matrix(pres, atom, flags):
+def _letter_matrix(pres, atom):
     mono, idx = atom
-    scale = Poly.monomial(pres.variables, mono, 1, flags)
+    scale = Poly.monomial(pres.variables, mono)
     entries = {}
     for r, row in enumerate(pres.basis[idx]):
         for s, c in enumerate(row):
@@ -175,22 +169,11 @@ def _letter_matrix(pres, atom, flags):
     return MatrixForm(pres.variables, pres.module_parities, entries)
 
 
-def _curvature_powers(pres):
-    """Powers of the primed ambient differential, up to the form-degree cap."""
-    nv = len(pres.variables)
-    parities = pres.module_parities
-    if pres.source is not None:
-        flags = _laurent_flags(pres)
-        delta = MatrixForm.from_polys(pres.variables, parities,
-                                      pres.source.delta_full(), flags)
-        R = delta.prime()
-    elif len(parities or ()) == 1:
-        R = MatrixForm.zero(pres.variables, parities)
-    else:
-        raise ChainError(
-            f"algebra {pres.label} has no ambient factorization to trace against")
-    powers = [MatrixForm.identity(pres.variables, parities)]
-    for _ in range(nv):
+def _curvature_powers(variables, parities, delta):
+    """R^0, R^1, ... for R the primed delta, up to the form-degree cap."""
+    R = MatrixForm.from_polys(variables, parities, delta).prime()
+    powers = [MatrixForm.identity(variables, parities)]
+    for _ in range(len(variables)):
         nxt = powers[-1].mul(R)
         if nxt.is_zero():
             break
@@ -213,9 +196,8 @@ def _word_trace(pres, atoms, rpow, jcap):
     total = DiffForm.zero(pres.variables)
     if n > nv:
         return total
-    flags = _laurent_flags(pres)
-    head = _letter_matrix(pres, atoms[0], flags)
-    primes = [_letter_matrix(pres, a, flags).prime() for a in atoms[1:]]
+    head = _letter_matrix(pres, atoms[0])
+    primes = [_letter_matrix(pres, a).prime() for a in atoms[1:]]
     if any(p.is_zero() for p in primes):
         return total
     jmax = min(nv - n, jcap)
@@ -247,10 +229,18 @@ def _as_parts(chain):
 
 def _trace_components(chain, order, jcap):
     pres, parts = _as_parts(chain)
-    if pres.module_parities is None:
+    parities = pres.module_parities
+    if parities is None:
         raise ChainError(
             f"algebra {pres.label} does not act on a graded module")
-    rpow = _curvature_powers(pres)
+    if pres.source is not None:
+        delta = pres.source.delta_full()
+    elif len(parities) == 1:
+        delta = ((0,),)
+    else:
+        raise ChainError(
+            f"algebra {pres.label} has no ambient factorization to trace against")
+    rpow = _curvature_powers(pres.variables, parities, delta)
     nv = len(pres.variables)
     buckets = {}
     for upow, part in parts:
@@ -382,16 +372,10 @@ class ChernForm:
 
 
 def chern_form(P, *, order=DEFAULT_SERIES_ORDER) -> ChernForm:
-    """sum_J (-1)^J str(R^J)/J! for the primed differential of P."""
-    variables = P.vars
-    parities = P.parities()
-    R = MatrixForm.from_polys(variables, parities, P.delta_full()).prime()
-    total = DiffForm.from_poly(Poly.const(variables, P.rank0 - P.rank1))
-    power = MatrixForm.identity(variables, parities)
-    for J in range(1, len(variables) + 1):
-        power = power.mul(R)
-        if power.is_zero():
-            break
+    """sum_J (-1)^J str(R^J)/J! for the primed differential of P: the trace
+    of the identity word 1[] of End(P)."""
+    total = DiffForm.zero(P.vars)
+    for J, power in enumerate(_curvature_powers(P.vars, P.parities(), P.delta_full())):
         tr = power.supertrace()
         if not tr.is_zero():
             total = total + tr.scale(Fraction((-1) ** J, math.factorial(J)))

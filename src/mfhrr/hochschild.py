@@ -306,19 +306,14 @@ def local_model_presentation():
         label="local model")
 
 
-_TENSOR_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def tensor_presentation(A: AlgebraPresentation, B: AlgebraPresentation):
     """A (x) B over the common polynomial ring, with Koszul-sign products.
 
     The result is abstract (no underlying matrices); it exists to receive
-    external shuffle products.
+    external shuffle products.  Presentations hash by identity, so the
+    cache returns one object per pair of factors.
     """
-    key = (id(A), id(B))
-    hit = _TENSOR_CACHE.get(key)
-    if hit is not None and hit[0] is A and hit[1] is B:
-        return hit[2]
     if A.variables != B.variables:
         raise ChainError("tensor factors over different variable lists")
     if A.normalization != B.normalization:
@@ -361,12 +356,10 @@ def tensor_presentation(A: AlgebraPresentation, B: AlgebraPresentation):
     curvature = [(mono, pair(k, 0), c) for mono, k, c in A.curvature]
     curvature += [(mono, pair(0, k), c) for mono, k, c in B.curvature]
     names = {"1": ((0, Fraction(1)),)}
-    T = AlgebraPresentation(
+    return AlgebraPresentation(
         A.variables, None, None, parity, mult, diff, curvature,
         A.normalization, names, display, A.laurent | B.laurent,
         f"({A.label})(x)({B.label})")
-    _TENSOR_CACHE[key] = (A, B, T)
-    return T
 
 
 # -- chains ---------------------------------------------------------------------

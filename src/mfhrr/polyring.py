@@ -1,10 +1,10 @@
 """Exact multivariate polynomial and differential form arithmetic.
 
 Everything downstream works over the rationals.  Polynomials are sparse
-dicts mapping exponent tuples to nonzero Fractions.  A per-variable
-"laurent" flag controls whether negative exponents are legal; ordinary
-polynomials keep every flag off, while localized monomials (used by the
-Cech complex machinery) switch individual flags on.
+dicts mapping exponent tuples to nonzero Fractions.  Exponents may be any
+integers: the Cech local model inverts variables, and its traces carry
+negative exponents.  Nothing else produces them, and the Groebner and
+residue entry points reject them with LaurentError.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ class PolyParseError(ValueError):
 
 
 class LaurentError(ValueError):
-    """A negative exponent appeared in a variable not marked invertible."""
+    """A negative exponent reached an entry point that takes ordinary polynomials."""
 
 
 Monomial = tuple[int, ...]
@@ -47,16 +47,10 @@ def degrevlex_key(mono: Monomial):
 class Poly:
     """Immutable sparse polynomial over the rationals."""
 
-    __slots__ = ("vars", "laurent", "terms", "_hash")
+    __slots__ = ("vars", "terms", "_hash")
 
-    def __init__(self, variables: Sequence[str], terms: Mapping[Monomial, Fraction] | None = None,
-                 laurent: Sequence[bool] | None = None):
+    def __init__(self, variables: Sequence[str], terms: Mapping[Monomial, Fraction] | None = None):
         object.__setattr__(self, "vars", tuple(variables))
-        if laurent is None:
-            laurent = (False,) * len(self.vars)
-        object.__setattr__(self, "laurent", tuple(laurent))
-        if len(self.laurent) != len(self.vars):
-            raise ValueError("laurent flag count does not match variable count")
         clean: dict[Monomial, Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
@@ -66,10 +60,6 @@ class Poly:
                 mono = tuple(mono)
                 if len(mono) != len(self.vars):
                     raise ValueError("exponent tuple length does not match variable count")
-                for i, e in enumerate(mono):
-                    if e < 0 and not self.laurent[i]:
-                        raise LaurentError(
-                            f"negative exponent of {self.vars[i]} in a non-localized polynomial")
                 clean[mono] = clean.get(mono, Fraction(0)) + coeff
                 if not clean[mono]:
                     del clean[mono]
@@ -82,17 +72,17 @@ class Poly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, variables: Sequence[str], laurent: Sequence[bool] | None = None) -> "Poly":
-        return cls(variables, {}, laurent)
+    def zero(cls, variables: Sequence[str]) -> "Poly":
+        return cls(variables, {})
 
     @classmethod
-    def const(cls, variables: Sequence[str], c, laurent: Sequence[bool] | None = None) -> "Poly":
+    def const(cls, variables: Sequence[str], c) -> "Poly":
         n = len(variables)
-        return cls(variables, {(0,) * n: _coerce(c)}, laurent)
+        return cls(variables, {(0,) * n: _coerce(c)})
 
     @classmethod
-    def one(cls, variables: Sequence[str], laurent: Sequence[bool] | None = None) -> "Poly":
-        return cls.const(variables, 1, laurent)
+    def one(cls, variables: Sequence[str]) -> "Poly":
+        return cls.const(variables, 1)
 
     @classmethod
     def variable(cls, variables: Sequence[str], i: int) -> "Poly":
@@ -100,34 +90,29 @@ class Poly:
         return cls(variables, {mono: Fraction(1)})
 
     @classmethod
-    def monomial(cls, variables: Sequence[str], mono: Monomial, coeff=1,
-                 laurent: Sequence[bool] | None = None) -> "Poly":
-        return cls(variables, {tuple(mono): _coerce(coeff)}, laurent)
+    def monomial(cls, variables: Sequence[str], mono: Monomial, coeff=1) -> "Poly":
+        return cls(variables, {tuple(mono): _coerce(coeff)})
 
     # -- ring structure ----------------------------------------------------
 
-    def _merge_flags(self, other: "Poly") -> tuple[bool, ...]:
-        if self.vars != other.vars:
-            raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
-        return tuple(a or b for a, b in zip(self.laurent, other.laurent))
-
     def __add__(self, other) -> "Poly":
         if not isinstance(other, Poly):
-            other = Poly.const(self.vars, other, self.laurent)
-        flags = self._merge_flags(other)
+            other = Poly.const(self.vars, other)
+        if self.vars != other.vars:
+            raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
         terms = dict(self.terms)
         for mono, c in other.terms.items():
             terms[mono] = terms.get(mono, Fraction(0)) + c
-        return Poly(self.vars, terms, flags)
+        return Poly(self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.vars, {m: -c for m, c in self.terms.items()}, self.laurent)
+        return Poly(self.vars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         if not isinstance(other, Poly):
-            other = Poly.const(self.vars, other, self.laurent)
+            other = Poly.const(self.vars, other)
         return self + (-other)
 
     def __rsub__(self, other) -> "Poly":
@@ -136,20 +121,21 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
             c = _coerce(other)
-            return Poly(self.vars, {m: c * v for m, v in self.terms.items()}, self.laurent)
-        flags = self._merge_flags(other)
+            return Poly(self.vars, {m: c * v for m, v in self.terms.items()})
+        if self.vars != other.vars:
+            raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
         terms: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
                 terms[m] = terms.get(m, Fraction(0)) + c1 * c2
-        return Poly(self.vars, terms, flags)
+        return Poly(self.vars, terms)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.vars, other, self.laurent)
+            other = Poly.const(self.vars, other)
         if not isinstance(other, Poly):
             return NotImplemented
         return self.vars == other.vars and self.terms == other.terms
@@ -192,10 +178,7 @@ class Poly:
             m[i] = e - 1
             m = tuple(m)
             terms[m] = terms.get(m, Fraction(0)) + c * e
-        return Poly(self.vars, terms, self.laurent)
-
-    def with_laurent(self, flags: Sequence[bool]) -> "Poly":
-        return Poly(self.vars, self.terms, flags)
+        return Poly(self.vars, terms)
 
     # -- printing ----------------------------------------------------------
 

@@ -25,7 +25,7 @@ from .groebner import (
     normal_form,
     quotient_basis,
 )
-from .polyring import Poly
+from .polyring import LaurentError, Poly
 
 
 def res_monomial(numerator: Poly, exponents) -> Fraction:
@@ -130,8 +130,9 @@ def jacobian_cover(f: Poly, exponents=None, order: str = "degrevlex") -> Denomin
 class ResidueProblem:
     """Numerator (coefficient of dx_1...dx_n) over n validated denominators.
 
-    Validation at construction: n denominators over the n ring variables,
-    finite quotient algebra, and every variable nilpotent in it, i.e. the
+    Validation at construction: ordinary polynomials (LaurentError on a
+    negative exponent), n denominators over the n ring variables, finite
+    quotient algebra, and every variable nilpotent in it, i.e. the
     ideal is supported at the origin alone.
     """
 
@@ -144,8 +145,9 @@ class ResidueProblem:
         variables = denominators[0].vars
         if numerator.vars != variables or any(g.vars != variables for g in denominators):
             raise ValueError("numerator and denominators over different variable lists")
-        if any(numerator.laurent) or any(any(g.laurent) for g in denominators):
-            raise ValueError("residue problems take ordinary polynomials")
+        if any(e < 0 for mono in numerator.terms for e in mono):
+            raise LaurentError(f"negative exponent in the numerator {numerator}: "
+                               "residue problems take ordinary polynomials")
         if len(denominators) != len(variables):
             raise ValueError(
                 f"{len(denominators)} denominators over {len(variables)} variables")

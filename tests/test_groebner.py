@@ -200,14 +200,11 @@ def test_corrupted_graph_basis_is_caught(monkeypatch):
     real = groebner._buchberger_raw
 
     def corrupted(*args, **kwargs):
-        elems, stats = real(*args, **kwargs)
-        bad = []
-        for e in elems:
-            e = dict(e)
+        basis, stats = real(*args, **kwargs)
+        for e in basis.elems:
             tag = max(e, key=lambda t: t[0])  # every graph element has a tag part
             e[tag] *= 2
-            bad.append(e)
-        return bad, stats
+        return basis, stats
 
     monkeypatch.setattr(groebner, "_buchberger_raw", corrupted)
     with pytest.raises(VerificationError):

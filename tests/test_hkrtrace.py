@@ -44,7 +44,7 @@ XY = ("x", "y")
 
 
 def form(variables, comps):
-    return DiffForm(variables, {idx: Poly(variables, terms, [True] * len(variables))
+    return DiffForm(variables, {idx: Poly(variables, terms)
                                 for idx, terms in comps.items()})
 
 
@@ -279,6 +279,18 @@ def test_chern_odd_components_vanish(k_xy):
     with pytest.raises(ValueError):
         ChernForm(k_xy.f, FormSeries.of_form(
             form(XY, {(0,): {(0, 0): Fraction(1)}}), 2))
+
+
+@pytest.mark.parametrize("variables,a,b", [
+    (XY, ["x"], ["y"]),
+    (XY, ["x", "y"], ["x", "y^2"]),               # x^2 + y^3, rank 2|2
+    (("x", "y", "z", "w"), ["x", "z"], ["y", "w"]),  # nonzero top form
+])
+def test_chern_form_is_trace_of_identity_word(variables, a, b):
+    P = koszul_mf(variables, [parse_poly(s, variables) for s in a],
+                  [parse_poly(s, variables) for s in b])
+    want = tr_nabla(endomorphism_presentation(P).chain("1"), order=3)
+    assert chern_form(P, order=3).series == want
 
 
 def test_chern_serialization(k_xy):

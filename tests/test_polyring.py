@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mfhrr.groebner import buchberger, syzygies
 from mfhrr.polyring import (
     DEFAULT_SERIES_ORDER,
     DiffForm,
@@ -16,6 +17,7 @@ from mfhrr.polyring import (
     parse_poly,
     wedge_sign,
 )
+from mfhrr.residue import ResidueProblem
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -121,26 +123,30 @@ def test_degrevlex_three_vars():
     assert degrevlex_key((0, 2, 0)) > degrevlex_key((1, 0, 1))
 
 
-# -- laurent gating ----------------------------------------------------------
+# -- negative exponents -------------------------------------------------------
 
 def test_laurent_gate():
+    inv_x = Poly(XY, {(-1, 0): Fraction(1)})
+    assert inv_x.coefficient((-1, 0)) == 1
     with pytest.raises(LaurentError):
-        Poly(XY, {(-1, 0): Fraction(1)})
-    ok = Poly(XY, {(-1, 0): Fraction(1)}, laurent=(True, False))
-    assert ok.coefficient((-1, 0)) == 1
+        buchberger([P("y^2"), inv_x])
     with pytest.raises(LaurentError):
-        Poly(XY, {(0, -2): Fraction(1)}, laurent=(True, False))
+        syzygies([P("x"), P("y") * inv_x])
+    with pytest.raises(LaurentError):
+        ResidueProblem(inv_x, [P("x"), P("y")])
+    with pytest.raises(LaurentError):
+        ResidueProblem(P("1"), [inv_x, P("y")])
 
 
 def test_laurent_flags_merge():
-    a = Poly(XY, {(-1, 0): Fraction(1)}, laurent=(True, False))
+    a = Poly(XY, {(-1, 0): Fraction(1)})
     b = P("y^3")
     assert (a * b).coefficient((-1, 3)) == 1
 
 
 def test_laurent_derivative():
-    a = Poly(XY, {(-1, 0): Fraction(1)}, laurent=(True, False))
-    assert a.partial(0) == Poly(XY, {(-2, 0): Fraction(-1)}, laurent=(True, False))
+    a = Poly(XY, {(-1, 0): Fraction(1)})
+    assert a.partial(0) == Poly(XY, {(-2, 0): Fraction(-1)})
 
 
 # -- differential forms -------------------------------------------------------
