@@ -23,6 +23,7 @@ import heapq
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .polyring import LaurentError, Poly, degrevlex_key
 
@@ -521,19 +522,26 @@ def subquotient_dim(ker_gens, im_gens, order: str = "degrevlex") -> int:
 
 # -- isolated singularity validation ------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class IsolatedReport:
+    """The Jacobian record of a potential: Milnor number, Groebner basis
+    of the Jacobian ideal and the monomial basis of the Milnor algebra."""
+
     milnor: int
     jacobian_gb: GroebnerBasis
-    monomial_basis: list
+    monomial_basis: tuple
 
 
+@lru_cache(maxsize=None)
 def check_isolated(f: Poly, order: str = "degrevlex") -> IsolatedReport:
     """Validate that f has an isolated critical point at the origin only.
 
     Checks: f and all partials vanish at 0; the Milnor algebra
     Q[x]/(df/dx_1, ..., df/dx_n) is finite dimensional; every variable is
     nilpotent in it (so the critical scheme is concentrated at 0).
+
+    The report is computed once per (f, order) and shared by every later
+    call; a rejection raises anew on each call, since errors are not cached.
     """
     n = len(f.vars)
     if f.constant_term():
@@ -560,4 +568,4 @@ def check_isolated(f: Poly, order: str = "degrevlex") -> IsolatedReport:
             raise IsolatedSingularityError(
                 f"critical locus is not concentrated at the origin: "
                 f"{f.vars[i]}^{mu} is not in the jacobian ideal")
-    return IsolatedReport(mu, gb, qb)
+    return IsolatedReport(mu, gb, tuple(qb))

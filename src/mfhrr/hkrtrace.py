@@ -12,9 +12,11 @@ primed letter carries form degree one, so the J-sum stops at the number of
 variables and everything is exact over the rationals.
 
 The same engine gives Chern forms (the value on 1[]), the classical HKR map
-(the J = 0 part), the degree twist gamma, and the superdeterminant Todd
-series.  Chains tagged with Cech indices keep their tags; the residue of the
-fully-tagged top component is what the local duality tests consume.
+(the J = 0 part) and the degree twist gamma.  No Todd class is computed:
+on affine space with an isolated critical point, the only setting here,
+the twisted Todd class is 1.  Chains tagged with Cech indices keep their
+tags; the residue of the fully-tagged top component is what the local
+duality tests consume.
 """
 from __future__ import annotations
 
@@ -54,10 +56,6 @@ class MatrixForm:
         self.entries = clean
 
     @classmethod
-    def zero(cls, variables, parities):
-        return cls(variables, parities)
-
-    @classmethod
     def identity(cls, variables, parities):
         one = DiffForm.from_poly(Poly.one(variables))
         return cls(variables, parities,
@@ -74,30 +72,9 @@ class MatrixForm:
                     entries[(r, s)] = DiffForm.from_poly(p)
         return cls(variables, parities, entries)
 
-    @classmethod
-    def block_diag(cls, first, second):
-        if first.vars != second.vars:
-            raise ValueError("blocks over different variable lists")
-        shift = len(first.parities)
-        entries = dict(first.entries)
-        for (r, s), form in second.entries.items():
-            entries[(r + shift, s + shift)] = form
-        return cls(first.vars, first.parities + second.parities, entries)
-
     def _check(self, other):
         if self.vars != other.vars or self.parities != other.parities:
             raise ValueError("matrix shape mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        entries = dict(self.entries)
-        for pos, form in other.entries.items():
-            entries[pos] = entries.get(pos, DiffForm.zero(self.vars)) + form
-        return MatrixForm(self.vars, self.parities, entries)
-
-    def scale(self, c):
-        return MatrixForm(self.vars, self.parities,
-                          {pos: form.scale(c) for pos, form in self.entries.items()})
 
     def mul(self, other):
         self._check(other)
@@ -371,9 +348,12 @@ class ChernForm:
         return f"ChernForm({self.series.u0()})"
 
 
+@lru_cache(maxsize=None)
 def chern_form(P, *, order=DEFAULT_SERIES_ORDER) -> ChernForm:
     """sum_J (-1)^J str(R^J)/J! for the primed differential of P: the trace
-    of the identity word 1[] of End(P)."""
+    of the identity word 1[] of End(P).
+
+    Built once per (P, order), P keyed by content, and shared."""
     total = DiffForm.zero(P.vars)
     for J, power in enumerate(_curvature_powers(P.vars, P.parities(), P.delta_full())):
         tr = power.supertrace()
@@ -393,6 +373,10 @@ def gamma_twist(series: FormSeries) -> FormSeries:
     twisted differential change form degree the same way but u-degree
     differently, and flipping on form degree alone would only intertwine the
     df halves.
+
+    On Chern forms it is the dual: chern_form(dual_mf(P)).series ==
+    gamma_twist(chern_form(P).series), as full series.  The pairing takes
+    P's dual top from this identity instead of building dual_mf(P).
     """
     out = []
     for k in range(series.order):
@@ -401,59 +385,3 @@ def gamma_twist(series: FormSeries) -> FormSeries:
                  for idx, p in form.comps.items()}
         out.append(DiffForm(series.vars, comps))
     return FormSeries(series.vars, out, series.order)
-
-
-# -- Todd series --------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _bernoulli(k: int) -> Fraction:
-    if k == 0:
-        return Fraction(1)
-    total = Fraction(0)
-    for j in range(k):
-        total += math.comb(k + 1, j) * _bernoulli(j)
-    return -total / (k + 1)
-
-
-def _exp_form(form: DiffForm, nv: int) -> DiffForm:
-    total = DiffForm.from_poly(Poly.one(form.vars))
-    power = total
-    for m in range(1, nv + 1):
-        power = power.wedge(form)
-        if power.is_zero():
-            break
-        total = total + power.scale(Fraction(1, math.factorial(m)))
-    return total
-
-
-def todd_sdet(R: MatrixForm, order: int = DEFAULT_SERIES_ORDER) -> FormSeries:
-    """sdet of -R/(1 - exp R), the Bernoulli series t/(e^t - 1) applied to R.
-
-    R must be nilpotent; entries of positive form degree guarantee that and
-    are what the callers produce, so constant entries are rejected.
-    The superdeterminant itself is exp of the supertrace of log.
-    """
-    nv = len(R.vars)
-    for form in R.entries.values():
-        if () in form.comps:
-            raise ValueError("todd_sdet needs a nilpotent matrix of forms; "
-                             "constant entries present")
-    # N = g(R) - 1 with g the Bernoulli generating series.
-    N = MatrixForm.zero(R.vars, R.parities)
-    power = MatrixForm.identity(R.vars, R.parities)
-    for k in range(1, nv + 1):
-        power = power.mul(R)
-        if power.is_zero():
-            break
-        N = N + power.scale(_bernoulli(k) / math.factorial(k))
-    # str(log(1 + N)), then exp.
-    logtrace = DiffForm.zero(R.vars)
-    power = MatrixForm.identity(R.vars, R.parities)
-    for m in range(1, nv + 1):
-        power = power.mul(N)
-        if power.is_zero():
-            break
-        sign = Fraction(1, m) if m % 2 else Fraction(-1, m)
-        logtrace = logtrace + power.supertrace().scale(sign)
-    return FormSeries.of_form(_exp_form(logtrace, nv), order)

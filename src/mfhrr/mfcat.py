@@ -127,6 +127,9 @@ class MatrixFactorization:
         return (self.vars == other.vars and self.f == other.f
                 and self.delta0 == other.delta0 and self.delta1 == other.delta1)
 
+    def __hash__(self):
+        return hash((self.vars, self.f, self.delta0, self.delta1))
+
     def __repr__(self):
         return (f"MatrixFactorization(f={self.f}, ranks={self.rank0}|{self.rank1}, "
                 f"vars={self.vars})")

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .groebner import GroebnerLimitError, VerificationError, check_isolated
-from .hkrtrace import cech_residue, chern_form, tr_nabla, tr_nabla_cech
+from .hkrtrace import cech_residue, chern_form, gamma_twist, tr_nabla, tr_nabla_cech
 from .hochschild import (
     B_op,
     ChainError,
@@ -48,7 +48,7 @@ from .mfcat import (
     shift_mf,
 )
 from .polyring import Poly, parse_poly
-from .residue import ResidueProblem, groth_residue
+from .residue import jacobian_cover, res_monomial
 
 # epsilon_n = (-1)^{n(n+1)/2}, tabulated by n mod 4 and recalibrated against
 # the homological Euler characteristic on a reference instance per even class
@@ -64,9 +64,14 @@ def epsilon_formula(n: int) -> int:
 
 
 def _raw_residue_pairing(P: MatrixFactorization, Q: MatrixFactorization) -> Fraction:
-    top = chern_form(Q).top() * chern_form(dual_mf(P)).top()
-    partials = [P.f.partial(i) for i in range(len(P.vars))]
-    return groth_residue(ResidueProblem(top, partials))
+    """Residue over the Jacobian ideal of top(Q) * top(P dual).
+
+    P's dual top comes from gamma_twist on P's own Chern form; the cover,
+    its det and both Chern forms are the cached ones of f, P and Q.
+    """
+    cover = jacobian_cover(P.f)
+    dual_top = gamma_twist(chern_form(P).series).u0().top()
+    return res_monomial(chern_form(Q).top() * dual_top * cover.det, cover.exponents)
 
 
 def _calibration_instance(n: int) -> MatrixFactorization:

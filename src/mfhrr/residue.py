@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 from .groebner import (
     GraphBasis,
@@ -28,12 +29,20 @@ from .groebner import (
 from .polyring import LaurentError, Poly
 
 
+def _check_ordinary(numerator: Poly) -> None:
+    if any(e < 0 for mono in numerator.terms for e in mono):
+        raise LaurentError(f"negative exponent in the numerator {numerator}: "
+                           "residues take ordinary polynomials")
+
+
 def res_monomial(numerator: Poly, exponents) -> Fraction:
     """Residue of numerator dx over the pure powers x_i^{exponents[i]}.
 
     Linear in the numerator; a monomial x^b contributes its coefficient
-    exactly when b_i = exponents[i] - 1 for every i.
+    exactly when b_i = exponents[i] - 1 for every i.  The numerator must be
+    an ordinary polynomial (LaurentError otherwise).
     """
+    _check_ordinary(numerator)
     a = tuple(exponents)
     if len(a) != len(numerator.vars):
         raise ValueError(
@@ -56,14 +65,16 @@ class DenominatorCover:
     exponents: tuple
     cofactors: tuple
 
+    @cached_property
     def det(self) -> Poly:
+        """Determinant of the cofactor matrix, computed on first use."""
         return _det([list(row) for row in self.cofactors])
 
     def jsonable(self) -> dict:
         return {
             "exponents": list(self.exponents),
             "cofactors": [[str(c) for c in row] for row in self.cofactors],
-            "det": str(self.det()),
+            "det": str(self.det),
         }
 
 
@@ -114,17 +125,20 @@ def _build_cover(denominators, gb, exponents, bound, order) -> DenominatorCover:
     return DenominatorCover(exponents, rows)
 
 
-def jacobian_cover(f: Poly, exponents=None, order: str = "degrevlex") -> DenominatorCover:
-    """Pure-power cover of the Jacobian ideal of f.
+@lru_cache(maxsize=None)
+def jacobian_cover(f: Poly, exponents=None) -> DenominatorCover:
+    """Pure-power cover of the Jacobian ideal of f, from check_isolated's basis.
 
     With exponents=None the minimal exponents are found by raising each
-    variable until its normal form vanishes.  Passing explicit exponents
-    builds a (possibly non-minimal) cover instead; membership failures
-    propagate from the Groebner engine.
+    variable until its normal form vanishes.  Passing an explicit tuple of
+    exponents builds a (possibly non-minimal) cover instead; membership
+    failures propagate from the Groebner engine.  Each cover is built once
+    per (f, exponents) and shared; errors are not cached.
     """
-    report = check_isolated(f, order)
+    report = check_isolated(f)
     partials = [f.partial(i) for i in range(len(f.vars))]
-    return _build_cover(partials, report.jacobian_gb, exponents, report.milnor, order)
+    return _build_cover(partials, report.jacobian_gb, exponents, report.milnor,
+                        report.jacobian_gb.order)
 
 
 class ResidueProblem:
@@ -145,9 +159,7 @@ class ResidueProblem:
         variables = denominators[0].vars
         if numerator.vars != variables or any(g.vars != variables for g in denominators):
             raise ValueError("numerator and denominators over different variable lists")
-        if any(e < 0 for mono in numerator.terms for e in mono):
-            raise LaurentError(f"negative exponent in the numerator {numerator}: "
-                               "residue problems take ordinary polynomials")
+        _check_ordinary(numerator)
         if len(denominators) != len(variables):
             raise ValueError(
                 f"{len(denominators)} denominators over {len(variables)} variables")
@@ -197,4 +209,4 @@ def groth_residue(prob: ResidueProblem, cover: DenominatorCover | None = None) -
                 raise ValueError(
                     f"cover row {i} does not certify {variables[i]}^{e} "
                     "over these denominators")
-    return res_monomial(prob.numerator * cover.det(), cover.exponents)
+    return res_monomial(prob.numerator * cover.det, cover.exponents)

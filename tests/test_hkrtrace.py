@@ -12,7 +12,6 @@ from mfhrr.hkrtrace import (
     chern_form,
     classical_hkr,
     gamma_twist,
-    todd_sdet,
     tr_nabla,
     tr_nabla_cech,
 )
@@ -335,49 +334,3 @@ def test_gamma_is_an_involution_and_intertwines_twists():
         w = _random_series(rng, XY, 3)
         assert gamma_twist(gamma_twist(w)) == w
         assert gamma_twist(w.twist_diff(-f)) == gamma_twist(w).twist_diff(f)
-
-
-# ---- Todd --------------------------------------------------------------------
-
-V4 = ("x1", "x2", "x3", "x4")
-
-
-def _two_form():
-    return DiffForm(V4, {(0, 1): Poly.one(V4), (2, 3): Poly.one(V4)})
-
-
-def test_todd_of_zero_is_one():
-    td = todd_sdet(MatrixForm.zero(V4, (0, 0)))
-    assert td == FormSeries.of_form(DiffForm.from_poly(Poly.one(V4)), td.order)
-
-
-def test_todd_series_coefficients_even_block():
-    r = _two_form()
-    td = todd_sdet(MatrixForm(V4, (0,), {(0, 0): r})).u0()
-    assert td.component(()) == Poly.one(V4)
-    assert td.component((0, 1)) == Poly.const(V4, Fraction(-1, 2))
-    assert td.component((2, 3)) == Poly.const(V4, Fraction(-1, 2))
-    # r^2 = 2 dx1 dx2 dx3 dx4, so the quartic part is 2/12
-    assert td.component((0, 1, 2, 3)) == Poly.const(V4, Fraction(1, 6))
-
-
-def test_todd_odd_block_inverts_the_series():
-    r = _two_form()
-    even = todd_sdet(MatrixForm(V4, (0,), {(0, 0): r})).u0()
-    odd = todd_sdet(MatrixForm(V4, (1,), {(0, 0): r})).u0()
-    assert even.wedge(odd) == DiffForm.from_poly(Poly.one(V4))
-
-
-def test_todd_multiplicative_on_blocks():
-    r = _two_form()
-    A = MatrixForm(V4, (0,), {(0, 0): r})
-    B = MatrixForm(V4, (1,), {(0, 0): r.scale(Fraction(1, 2))})
-    combined = todd_sdet(MatrixForm.block_diag(A, B)).u0()
-    assert combined == todd_sdet(A).u0().wedge(todd_sdet(B).u0())
-
-
-def test_todd_rejects_constant_entries():
-    bad = MatrixForm(V4, (0, 0),
-                     {(0, 1): DiffForm.from_poly(Poly.one(V4))})
-    with pytest.raises(ValueError):
-        todd_sdet(bad)

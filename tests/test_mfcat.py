@@ -94,6 +94,20 @@ def test_dual_dual_negates_deltas():
                 assert a == -b
 
 
+def test_equal_factorizations_share_one_key():
+    K = koszul_mf(XY, [P("x"), P("y")], [P("x"), P("y^2")])
+    twin = mf_from_json(mf_to_json(K))
+    assert twin == K and twin is not K
+    assert hash(twin) == hash(K)
+    table = {K: "first"}
+    table[twin] = "second"
+    assert table == {K: "second"}
+    for other in (dual_mf(K), shift_mf(K)):
+        assert other != K and hash(other) != hash(K)
+        table[other] = "other"
+    assert len(table) == 3
+
+
 def test_shift_involution():
     K = koszul_mf(XY, [P("x"), P("y")], [P("x"), P("y^2")])
     S = shift_mf(K)

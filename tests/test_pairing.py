@@ -5,19 +5,22 @@ from fractions import Fraction
 
 import pytest
 
-from mfhrr import pairing
-from mfhrr.groebner import ENV_MAX_SPAIRS, IsolatedSingularityError
+from mfhrr import groebner, pairing
+from mfhrr.groebner import ENV_MAX_SPAIRS, IsolatedSingularityError, check_isolated
+from mfhrr.hkrtrace import chern_form, gamma_twist
 from mfhrr.hochschild import ChainError
 from mfhrr.homalg import euler_chi
-from mfhrr.mfcat import (MFValidationError, direct_sum_mf, koszul_mf, shift_mf,
-                         tensor_mf)
+from mfhrr.mfcat import (MFValidationError, direct_sum_mf, dual_mf, koszul_mf,
+                         shift_mf, tensor_mf)
 from mfhrr.pairing import (EPSILON_TABLE, calibrate_sign, canonical_pairing_u0,
                            default_corpus, epsilon_formula, hrr_check,
                            identity_suites, phi_eta_suite, run_corpus)
-from mfhrr.polyring import parse_poly
+from mfhrr.polyring import LaurentError, Poly, parse_poly
+from mfhrr.residue import jacobian_cover
 
 X = ("x",)
 XY = ("x", "y")
+XYUV = ("x", "y", "u", "v")
 
 
 def kmf(variables, a, b):
@@ -131,6 +134,101 @@ def test_chi_multiplicative_under_tensor():
         for j in range(2):
             chi4 = euler_chi(T, tensor_mf(AV[i], BV[j]))
             assert chi4 == euler_chi(A[0], A[i]) * euler_chi(B[0], B[j])
+
+
+def test_laurent_chern_tops_raise():
+    # K(x/y, y^2 + x*y) factors x^2 + x*y, but its Chern top is -2x/y - 2
+    inv_y = Poly(XY, {(0, -1): Fraction(1)})
+    K = koszul_mf(XY, [parse_poly("x", XY) * inv_y], [parse_poly("y^2 + x*y", XY)])
+    with pytest.raises(LaurentError):
+        canonical_pairing_u0(K, K)
+
+
+# -- nonzero index tables ------------------------------------------------------------
+
+def branch_splits(branches, variables):
+    """K(prod S, prod S^c) for each proper subset S of the branches, in mask
+    order: bit i of the mask puts branch i into S."""
+    k = len(branches)
+    mfs = []
+    for mask in range(1, 2 ** k - 1):
+        a = "*".join(b for i, b in enumerate(branches) if mask >> i & 1)
+        c = "*".join(b for i, b in enumerate(branches) if not mask >> i & 1)
+        mfs.append(kmf(variables, [a], [c]))
+    return mfs
+
+
+D4 = ["y", "(x - y)", "(x + y)"]
+D4_CHI = [[2, -1, 1, -1, 1, -2],
+          [-1, 2, 1, -1, -2, 1],
+          [1, 1, 2, -2, -1, -1],
+          [-1, -1, -2, 2, 1, 1],
+          [1, -2, -1, 1, 2, -1],
+          [-2, 1, -1, 1, -1, 2]]
+
+
+@pytest.fixture(scope="module")
+def nonzero_tables():
+    """name -> (factorizations, chi grid); D4 + u*v is n = 4, Knoerrer
+    stabilized, and off the n = 4 calibration instance."""
+    uv = kmf(XYUV, ["u"], ["v"])
+    return {
+        "A3": (branch_splits(["(x - y^2)", "(x + y^2)"], XY), [[2, -2], [-2, 2]]),
+        "A5": (branch_splits(["(x - y^3)", "(x + y^3)"], XY), [[3, -3], [-3, 3]]),
+        "D4": (branch_splits(D4, XY), D4_CHI),
+        "D4 + u*v": ([tensor_mf(P, uv) for P in branch_splits(D4, XYUV)], D4_CHI),
+    }
+
+
+def test_nonzero_index_tables(nonzero_tables):
+    # all four tables in one process: A3 and A5 share their variables, so a
+    # cache keyed on less than the potential would pair one with the other
+    for name, (mfs, want) in nonzero_tables.items():
+        reports = [[hrr_check(P, Q) for Q in mfs] for P in mfs]
+        assert [[r.chi_ext for r in row] for row in reports] == want, name
+        assert [[r.chi_residue for r in row] for row in reports] == want, name
+        assert all(r.passed for row in reports for r in row), name
+
+
+def test_gamma_twist_dualizes_chern_forms(nonzero_tables):
+    XYZ, XYZW = ("x", "y", "z"), ("x", "y", "z", "w")
+    quadrics = [kmf(XYZ, ["x", "y", "z^2"], ["x", "y^2", "z^2"]),
+                kmf(XYZ, ["y^2", "z", "x"], ["y", "z^3", "x"]),
+                kmf(XYZW, ["x", "y", "z"], ["x", "y^2", "w"]),
+                kmf(XYZW, ["w", "y", "x"], ["z", "y^2", "x"])]
+    mfs = [P for table, _ in nonzero_tables.values() for P in table] + quadrics
+    nonzero = 0
+    for P in mfs:
+        ch = chern_form(P).series
+        assert chern_form(dual_mf(P)).series == gamma_twist(ch), P
+        nonzero += not ch.u0().top().is_zero()
+    # every even-arity factorization here has a nonzero top
+    assert nonzero == 16
+
+
+def test_residue_side_is_built_once(monkeypatch):
+    mfs = branch_splits(D4, XY)
+    f = mfs[0].f
+    partials = [f.partial(i) for i in range(len(XY))]
+    for cached in (check_isolated, jacobian_cover, chern_form):
+        cached.cache_clear()
+    calibrate_sign(2)
+    built = chern_form.cache_info().misses
+    calls = []
+    real = groebner.buchberger
+
+    def counted(gens, *args, **kwargs):
+        calls.append(list(gens))
+        return real(gens, *args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    assert all(hrr_check(P, Q).passed for P in mfs for Q in mfs)
+    assert sum(gens == partials for gens in calls) == 1
+    assert chern_form.cache_info().misses - built == len(mfs)
+    assert check_isolated(f) is check_isolated(f)
+    twin = kmf(XY, ["y"], ["(x - y)*(x + y)"])
+    assert twin == mfs[0] and twin is not mfs[0]
+    assert chern_form(twin) is chern_form(mfs[0])
 
 
 # -- corpus -----------------------------------------------------------------------

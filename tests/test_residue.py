@@ -68,7 +68,7 @@ def test_cover_xy():
     cov = jacobian_cover(P("x*y"))
     assert cov.exponents == (1, 1)
     assert [[str(c) for c in row] for row in cov.cofactors] == [["0", "1"], ["1", "0"]]
-    assert cov.det() == Poly.const(XY, -1)
+    assert cov.det == Poly.const(XY, -1)
 
 
 def test_cover_square():
@@ -80,7 +80,7 @@ def test_cover_square():
 def test_cover_cusp():
     cov = jacobian_cover(P("x^2 + y^3"))
     assert cov.exponents == (1, 2)
-    assert cov.det() == Poly.const(XY, Fraction(1, 6))
+    assert cov.det == Poly.const(XY, Fraction(1, 6))
 
 
 def test_cover_rejects_non_isolated():
