@@ -446,25 +446,16 @@ class GraphBasis:
         return _from_vec(tags, self.vars, len(self.gens))
 
 
-def member_with_cofactors(p, gens, order: str = "degrevlex"):
-    """Certificate p = sum_k c_k * gens[k]; raises NotInIdealError otherwise.
-
-    Returns the list of cofactor polynomials c_k, verified exactly against
-    gens before returning.
-    """
-    return list(GraphBasis(gens, order).cofactors(p))
-
-
-def syzygies(gens, order: str = "degrevlex"):
+def syzygies(gens):
     """Generators of the syzygy module {c : sum c_k gens[k] = 0}.
 
     Each syzygy is a tuple of Poly of length len(gens).  Every returned
     vector is verified exactly.
     """
-    return GraphBasis(gens, order).syzygies()
+    return GraphBasis(gens).syzygies()
 
 
-def module_kernel(matrix, order: str = "degrevlex"):
+def module_kernel(matrix):
     """Kernel generators of the map F_s -> F_r given by a r x s Poly matrix.
 
     Returns a list of length-s tuples of Poly spanning the kernel.
@@ -478,10 +469,10 @@ def module_kernel(matrix, order: str = "degrevlex"):
     if s == 0:
         return []
     cols = [tuple(matrix[i][j] for i in range(r)) for j in range(s)]
-    return syzygies(cols, order)
+    return syzygies(cols)
 
 
-def subquotient_dim(ker_gens, im_gens, order: str = "degrevlex") -> int:
+def subquotient_dim(ker_gens, im_gens) -> int:
     """Rational dimension of (span ker_gens) / (span im_gens).
 
     Raises NonContainmentError if some im generator is outside the span of
@@ -498,7 +489,7 @@ def subquotient_dim(ker_gens, im_gens, order: str = "degrevlex") -> int:
         return 0
     # the quotient is F_s modulo the syzygies of ker_gens and the lifts of
     # im_gens, all read off one graph basis
-    graph = GraphBasis(ker_gens, order)
+    graph = GraphBasis(ker_gens)
     relations = graph.syzygies()
     for idx, v in enumerate(im_gens):
         try:
@@ -512,7 +503,7 @@ def subquotient_dim(ker_gens, im_gens, order: str = "degrevlex") -> int:
     if not relations:
         # quotient is free of rank s: finite only if s == 0
         raise InfiniteDimensionError("subquotient contains a free module")
-    gb = buchberger(relations, order)
+    gb = buchberger(relations)
     try:
         qb = quotient_basis(gb)
     except NotZeroDimensionalError as e:
@@ -521,6 +512,34 @@ def subquotient_dim(ker_gens, im_gens, order: str = "degrevlex") -> int:
 
 
 # -- isolated singularity validation ------------------------------------------
+
+def _origin_support(gens, order: str, what: str):
+    """Groebner basis and quotient monomials of an ideal supported at the
+    origin alone.
+
+    Raises IsolatedSingularityError unless the quotient is finite and
+    nonzero and every x_i^mu lies in the ideal, mu the quotient dimension:
+    then the ideal's zero set is the origin only.  ``what`` names the ideal
+    in the error messages.
+    """
+    gb = buchberger(gens, order)
+    try:
+        qb = quotient_basis(gb)
+    except NotZeroDimensionalError as e:
+        raise IsolatedSingularityError(f"{what} is not zero-dimensional: {e}") from None
+    mu = len(qb)
+    if mu == 0:
+        raise IsolatedSingularityError(
+            f"{what} is the unit ideal: it has no zero at the origin")
+    n = len(gb.vars)
+    for i in range(n):
+        power = Poly.monomial(gb.vars, tuple(mu if j == i else 0 for j in range(n)))
+        if not normal_form(power, gb).is_zero():
+            raise IsolatedSingularityError(
+                f"{what} is not supported at the origin: "
+                f"{gb.vars[i]}^{mu} is not in it")
+    return gb, qb
+
 
 @dataclass(frozen=True)
 class IsolatedReport:
@@ -533,15 +552,15 @@ class IsolatedReport:
 
 
 @lru_cache(maxsize=None)
-def check_isolated(f: Poly, order: str = "degrevlex") -> IsolatedReport:
+def check_isolated(f: Poly) -> IsolatedReport:
     """Validate that f has an isolated critical point at the origin only.
 
     Checks: f and all partials vanish at 0; the Milnor algebra
     Q[x]/(df/dx_1, ..., df/dx_n) is finite dimensional; every variable is
     nilpotent in it (so the critical scheme is concentrated at 0).
 
-    The report is computed once per (f, order) and shared by every later
-    call; a rejection raises anew on each call, since errors are not cached.
+    The report is computed once per f and shared by every later call; a
+    rejection raises anew on each call, since errors are not cached.
     """
     n = len(f.vars)
     if f.constant_term():
@@ -553,19 +572,5 @@ def check_isolated(f: Poly, order: str = "degrevlex") -> IsolatedReport:
                 f"the origin is not a critical point: d/d{f.vars[i]} has a constant term")
     if all(p.is_zero() for p in partials):
         raise IsolatedSingularityError("f has identically vanishing gradient")
-    gb = buchberger(partials, order)
-    try:
-        qb = quotient_basis(gb)
-    except NotZeroDimensionalError as e:
-        raise IsolatedSingularityError(
-            f"critical locus is not finite: {e}") from None
-    mu = len(qb)
-    if mu == 0:
-        raise IsolatedSingularityError("f is nonsingular (empty critical scheme)")
-    for i in range(n):
-        power = Poly.monomial(f.vars, tuple(mu if j == i else 0 for j in range(n)))
-        if not normal_form(power, gb).is_zero():
-            raise IsolatedSingularityError(
-                f"critical locus is not concentrated at the origin: "
-                f"{f.vars[i]}^{mu} is not in the jacobian ideal")
-    return IsolatedReport(mu, gb, tuple(qb))
+    gb, qb = _origin_support(partials, "degrevlex", "the jacobian ideal")
+    return IsolatedReport(len(qb), gb, tuple(qb))

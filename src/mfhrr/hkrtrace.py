@@ -11,12 +11,11 @@ twisted by the row-plus-column parity, and str is the supertrace.  Each R or
 primed letter carries form degree one, so the J-sum stops at the number of
 variables and everything is exact over the rationals.
 
-The same engine gives Chern forms (the value on 1[]), the classical HKR map
-(the J = 0 part) and the degree twist gamma.  No Todd class is computed:
-on affine space with an isolated critical point, the only setting here,
-the twisted Todd class is 1.  Chains tagged with Cech indices keep their
-tags; the residue of the fully-tagged top component is what the local
-duality tests consume.
+The same engine gives Chern forms (the value on 1[]) and the degree twist
+gamma.  No Todd class is computed: on affine space with an isolated
+critical point, the only setting here, the twisted Todd class is 1.
+Chains tagged with Cech indices keep their tags; the residue of the
+fully-tagged top component is what the local duality tests consume.
 """
 from __future__ import annotations
 
@@ -167,7 +166,7 @@ def _compositions(total, slots):
             yield (head,) + rest
 
 
-def _word_trace(pres, atoms, rpow, jcap):
+def _word_trace(pres, atoms, rpow):
     nv = len(pres.variables)
     n = len(atoms) - 1
     total = DiffForm.zero(pres.variables)
@@ -177,8 +176,7 @@ def _word_trace(pres, atoms, rpow, jcap):
     primes = [_letter_matrix(pres, a).prime() for a in atoms[1:]]
     if any(p.is_zero() for p in primes):
         return total
-    jmax = min(nv - n, jcap)
-    for J in range(jmax + 1):
+    for J in range(nv - n + 1):
         weight = Fraction((-1) ** J, math.factorial(n + J))
         for comp in _compositions(J, n + 1):
             if any(j >= len(rpow) for j in comp):
@@ -204,7 +202,7 @@ def _as_parts(chain):
     raise ChainError(f"cannot trace a {type(chain).__name__}")
 
 
-def _trace_components(chain, order, jcap):
+def _trace_components(chain, order):
     pres, parts = _as_parts(chain)
     parities = pres.module_parities
     if parities is None:
@@ -218,13 +216,12 @@ def _trace_components(chain, order, jcap):
         raise ChainError(
             f"algebra {pres.label} has no ambient factorization to trace against")
     rpow = _curvature_powers(pres.variables, parities, delta)
-    nv = len(pres.variables)
     buckets = {}
     for upow, part in parts:
         if upow >= order:
             break
         for (alphas, atoms), coeff in part.terms.items():
-            value = _word_trace(pres, atoms, rpow, jcap)
+            value = _word_trace(pres, atoms, rpow)
             if value.is_zero():
                 continue
             forms = buckets.setdefault(
@@ -244,7 +241,7 @@ def tr_nabla(chain, *, order=DEFAULT_SERIES_ORDER) -> FormSeries:
     for those.
     """
     pres, _ = _as_parts(chain)
-    comps = _trace_components(chain, order, jcap=len(pres.variables))
+    comps = _trace_components(chain, order)
     stray = [a for a in comps if a]
     if stray:
         raise ChainError("chain carries Cech indices; use tr_nabla_cech")
@@ -253,18 +250,7 @@ def tr_nabla(chain, *, order=DEFAULT_SERIES_ORDER) -> FormSeries:
 
 def tr_nabla_cech(chain, *, order=DEFAULT_SERIES_ORDER) -> dict:
     """Componentwise trace of a Cech-tagged chain: alpha set -> form series."""
-    pres, _ = _as_parts(chain)
-    return _trace_components(chain, order, jcap=len(pres.variables))
-
-
-def classical_hkr(chain, *, order=DEFAULT_SERIES_ORDER) -> FormSeries:
-    """str(a0 da1 ... dan)/n!: the trace with no curvature insertions."""
-    pres, _ = _as_parts(chain)
-    comps = _trace_components(chain, order, jcap=0)
-    stray = [a for a in comps if a]
-    if stray:
-        raise ChainError("chain carries Cech indices; use tr_nabla_cech")
-    return comps.get(frozenset(), FormSeries.zero(pres.variables, order))
+    return _trace_components(chain, order)
 
 
 def cech_residue(components, full=None) -> dict:
@@ -313,17 +299,9 @@ class ChernForm:
         self.f = f
         self.series = series
 
-    def degree_component(self, j: int) -> DiffForm:
-        return self.series.u0().degree_part(j)
-
     def top(self) -> Poly:
         """Coefficient of dx_0 ... dx_{n-1} at u^0."""
         return self.series.u0().top()
-
-    def __add__(self, other):
-        if self.f != other.f:
-            raise ValueError("Chern forms for different potentials")
-        return ChernForm(self.f, self.series + other.series)
 
     def __eq__(self, other):
         if not isinstance(other, ChernForm):

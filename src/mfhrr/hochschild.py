@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import combinations
 from operator import add
 
-from .mfcat import MatrixFactorization, MFValidationError, koszul_mf, mf_new
+from .mfcat import MatrixFactorization
 from .polyring import Poly
 
 
@@ -299,7 +299,7 @@ def local_model_presentation():
     variables = ("x",)
     x = Poly.variable(variables, 0)
     zero = Poly.zero(variables)
-    K = mf_new(variables, zero, [[zero]], [[x]])
+    K = MatrixFactorization(variables, zero, [[zero]], [[x]])
     names = koszul_generator_matrices(variables)
     return endomorphism_presentation(
         K, normalization="module", extra_names=names, laurent={0},
@@ -899,10 +899,6 @@ class UChain:
 
     def scale(self, c):
         return UChain(self.pres, [p.scale(c) for p in self.parts])
-
-    def shift_u(self, k=1):
-        zero = self.pres.zero()
-        return UChain(self.pres, (zero,) * k + self.parts)
 
     def truncate(self, order):
         zero = self.pres.zero()

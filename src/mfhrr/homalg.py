@@ -2,9 +2,12 @@
 
 The shipping route is exact: kernels of the hom-complex differentials are
 computed as syzygy modules and the homology dimension is a subquotient
-dimension over the polynomial ring.  A degree-truncated dense linear algebra
-routine over the same complexes is kept alongside as an independent
-cross-check; the two must agree whenever the answer is finite.
+dimension over the polynomial ring.  Taking that subquotient lifts every
+image generator into the kernel, so it also proves d^2 = 0 exactly; this
+is the one place where a complex is checked to be one.  A
+degree-truncated dense linear algebra routine over the same complexes is
+kept alongside as an independent cross-check; the two must agree whenever
+the answer is finite.
 """
 from __future__ import annotations
 
@@ -13,7 +16,6 @@ from fractions import Fraction
 
 from .groebner import check_isolated, module_kernel, subquotient_dim
 from .mfcat import MatrixFactorization, Z2Complex, hom_complex
-from .polyring import Poly
 
 
 @dataclass
@@ -39,7 +41,13 @@ def _columns(matrix):
 
 
 def homology_dims(C: Z2Complex):
-    """(dim ker d0/im d1, dim ker d1/im d0, provenance record)."""
+    """(dim ker d0/im d1, dim ker d1/im d0, provenance record).
+
+    Each column of d1 is lifted into ker d0 and each column of d0 into
+    ker d1, and every lift is verified, so dimensions come back only for a
+    complex: if d0 d1 or d1 d0 is nonzero this raises NonContainmentError
+    (or InfiniteDimensionError, when H0 is already infinite).
+    """
     ker0 = module_kernel(C.d0)
     ker1 = module_kernel(C.d1)
     h0 = subquotient_dim(ker0, _columns(C.d1))
@@ -49,13 +57,6 @@ def homology_dims(C: Z2Complex):
         "kernel_generators": [len(ker0), len(ker1)],
     }
     return h0, h1, prov
-
-
-def complex_euler(C: Z2Complex) -> int:
-    """dim H0 - dim H1 of a two-periodic complex with homology supported
-    at the origin.  Raises InfiniteDimensionError otherwise."""
-    h0, h1, _ = homology_dims(C)
-    return h0 - h1
 
 
 def ext_dims(P: MatrixFactorization, Q: MatrixFactorization) -> ExtReport:

@@ -20,11 +20,9 @@ from functools import cached_property, lru_cache
 from .groebner import (
     GraphBasis,
     IsolatedSingularityError,
-    NotZeroDimensionalError,
-    buchberger,
+    _origin_support,
     check_isolated,
     normal_form,
-    quotient_basis,
 )
 from .polyring import LaurentError, Poly
 
@@ -126,18 +124,17 @@ def _build_cover(denominators, gb, exponents, bound, order) -> DenominatorCover:
 
 
 @lru_cache(maxsize=None)
-def jacobian_cover(f: Poly, exponents=None) -> DenominatorCover:
-    """Pure-power cover of the Jacobian ideal of f, from check_isolated's basis.
+def jacobian_cover(f: Poly) -> DenominatorCover:
+    """Minimal pure-power cover of the Jacobian ideal of f, from
+    check_isolated's basis.
 
-    With exponents=None the minimal exponents are found by raising each
-    variable until its normal form vanishes.  Passing an explicit tuple of
-    exponents builds a (possibly non-minimal) cover instead; membership
-    failures propagate from the Groebner engine.  Each cover is built once
-    per (f, exponents) and shared; errors are not cached.
+    The exponents are found by raising each variable until its normal form
+    vanishes.  The cover is built once per f and shared; errors are not
+    cached.
     """
     report = check_isolated(f)
     partials = [f.partial(i) for i in range(len(f.vars))]
-    return _build_cover(partials, report.jacobian_gb, exponents, report.milnor,
+    return _build_cover(partials, report.jacobian_gb, None, report.milnor,
                         report.jacobian_gb.order)
 
 
@@ -145,9 +142,10 @@ class ResidueProblem:
     """Numerator (coefficient of dx_1...dx_n) over n validated denominators.
 
     Validation at construction: ordinary polynomials (LaurentError on a
-    negative exponent), n denominators over the n ring variables, finite
-    quotient algebra, and every variable nilpotent in it, i.e. the
-    ideal is supported at the origin alone.
+    negative exponent), n denominators over the n ring variables, a finite
+    and nonzero quotient algebra, and every variable nilpotent in it, i.e.
+    the ideal is supported at the origin alone (the same test that
+    check_isolated applies to a Jacobian ideal).
     """
 
     __slots__ = ("numerator", "denominators", "gb", "quotient_monomials", "order")
@@ -168,18 +166,8 @@ class ResidueProblem:
         self.numerator = numerator
         self.denominators = denominators
         self.order = order
-        self.gb = buchberger(denominators, order)
-        try:
-            self.quotient_monomials = quotient_basis(self.gb)
-        except NotZeroDimensionalError as e:
-            raise IsolatedSingularityError(
-                f"denominator ideal is not supported at a point: {e}") from None
-        mu = len(self.quotient_monomials)
-        for i in range(len(variables)):
-            if not normal_form(_pure_power(variables, i, mu), self.gb).is_zero():
-                raise IsolatedSingularityError(
-                    f"denominator ideal is not supported at the origin: "
-                    f"{variables[i]}^{mu} has a nonzero normal form")
+        self.gb, self.quotient_monomials = _origin_support(
+            denominators, order, "the denominator ideal")
 
     def cover(self, exponents=None) -> DenominatorCover:
         return _build_cover(self.denominators, self.gb, exponents,

@@ -84,6 +84,14 @@ def test_residue_rejects_non_isolated(capsys):
     assert "error:" in err
 
 
+def test_residue_rejects_noncritical_origin(capsys):
+    # the partials (1, 2y) of x + y^2 span the unit ideal
+    code, out, err = run_cli(capsys, "residue", "--f", "x + y^2", "--numerator", "1")
+    assert code == 1
+    assert out == ""
+    assert "error:" in err
+
+
 def test_validate_text_and_json(capsys, mf_file):
     code, out, _ = run_cli(capsys, "validate", "--mf", mf_file)
     assert code == 0

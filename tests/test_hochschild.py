@@ -367,7 +367,7 @@ def test_phi_is_built_once_and_shared(model):
     with pytest.raises(TypeError):
         phi.parts[0] = model.zero()
     before = [dict(p.terms) for p in phi.parts]
-    (phi + phi).scale(3).shift_u().truncate(2)
+    (phi + phi).scale(3).truncate(2)
     assert [p.terms for p in phi.parts] == before
 
 

@@ -5,19 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from mfhrr.groebner import InfiniteDimensionError, IsolatedSingularityError
-from mfhrr.homalg import (
-    complex_euler,
-    euler_chi,
-    ext_dims,
-    ext_dims_truncated,
+from mfhrr.groebner import (
+    InfiniteDimensionError,
+    IsolatedSingularityError,
+    NonContainmentError,
 )
+from mfhrr.homalg import euler_chi, ext_dims, ext_dims_truncated, homology_dims
 from mfhrr.mfcat import (
     MatrixFactorization,
     Z2Complex,
     direct_sum_mf,
     koszul_mf,
-    mf_new,
     shift_mf,
 )
 from mfhrr.polyring import Poly, parse_poly
@@ -98,23 +96,37 @@ def test_validation_rejects_nonisolated():
         ext_dims(P, P)
 
 
-# -- complex_euler -------------------------------------------------------------
+# -- homology of bare complexes --------------------------------------------------
 
 def test_complex_euler_koszul_one_var():
     C = Z2Complex(X, [[pp("0", X)]], [[pp("x", X)]])
-    assert complex_euler(C) == 1
+    h0, h1, _ = homology_dims(C)
+    assert h0 - h1 == 1
 
 
 def test_complex_euler_koszul_two_vars():
     d0 = [[pp("0"), pp("-y")], [pp("0"), pp("x")]]
     d1 = [[pp("x"), pp("y")], [pp("0"), pp("0")]]
-    assert complex_euler(Z2Complex(XY, d0, d1)) == 1
+    h0, h1, _ = homology_dims(Z2Complex(XY, d0, d1))
+    assert h0 - h1 == 1
 
 
 def test_complex_euler_not_primary():
     C = Z2Complex(X, [[pp("0", X)]], [[pp("0", X)]])
     with pytest.raises(InfiniteDimensionError):
-        complex_euler(C)
+        homology_dims(C)
+
+
+@pytest.mark.parametrize("d0,d1", [
+    ([["x"], ["0"]], [["0", "1"]]),   # rank 1|2: d1 d0 = 0, d0 d1 != 0
+    ([["0", "1"]], [["x"], ["0"]]),   # rank 2|1: d0 d1 = 0, d1 d0 != 0
+], ids=["d0d1_nonzero", "d1d0_nonzero"])
+def test_homology_rejects_non_complex(d0, d1):
+    # Z2Complex checks no composite; homology proves d^2 = 0 by its lifts
+    C = Z2Complex(X, [[pp(s, X) for s in row] for row in d0],
+                  [[pp(s, X) for s in row] for row in d1])
+    with pytest.raises(NonContainmentError):
+        homology_dims(C)
 
 
 # -- invariance properties -----------------------------------------------------
@@ -168,7 +180,7 @@ def _conjugate(P, g0, g1):
     g0i, g1i = const_mat(_inverse(g0)), const_mat(_inverse(g1))
     d0 = mul(mul(g1m, P.delta0), g0i)
     d1 = mul(mul(g0m, P.delta1), g1i)
-    return mf_new(P.vars, P.f, d0, d1)
+    return MatrixFactorization(P.vars, P.f, d0, d1)
 
 
 def test_basis_change_invariance():

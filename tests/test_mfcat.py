@@ -8,14 +8,12 @@ import pytest
 from mfhrr.mfcat import (
     MFValidationError,
     MatrixFactorization,
-    Z2Complex,
     direct_sum_mf,
     dual_mf,
     hom_complex,
     koszul_mf,
     mat_mul,
     mf_from_json,
-    mf_new,
     mf_to_json,
     shift_mf,
     tensor_mf,
@@ -56,13 +54,13 @@ def test_koszul_two_rows():
 
 def test_mf_new_validation_reports_entry():
     with pytest.raises(MFValidationError) as e:
-        mf_new(XY, P("x*y"), [[P("y")]], [[P("x + 1")]])
+        MatrixFactorization(XY, P("x*y"), [[P("y")]], [[P("x + 1")]])
     assert "(0,0)" in str(e.value)
 
 
 def test_mf_new_shape_validation():
     with pytest.raises(MFValidationError):
-        mf_new(XY, P("x*y"), [[P("y"), P("0")]], [[P("x")]])
+        MatrixFactorization(XY, P("x*y"), [[P("y"), P("0")]], [[P("x")]])
 
 
 def test_delta_full_squares_to_f():
@@ -168,7 +166,7 @@ def test_hom_complex_requires_same_potential():
 
 def test_hom_complex_larger():
     K = koszul_mf(XY, [P("x"), P("y")], [P("x"), P("y^2")])
-    C = hom_complex(K, K)  # constructor verifies d.d = 0
+    C = hom_complex(K, K)
     assert (C.rank0, C.rank1) == (8, 8)
 
 
@@ -218,9 +216,28 @@ def test_hom_complex_matches_definition(variables, exponents):
             assert [row[j] for row in d] == [want[e] for e in target]
 
 
-def test_z2complex_rejects_nonsquare_zero():
-    with pytest.raises(MFValidationError):
-        Z2Complex(XY, [[P("x")]], [[P("y")]])
+def _squares_to_zero(C):
+    return all(p.is_zero() for A, B in ((C.d1, C.d0), (C.d0, C.d1))
+               for row in mat_mul(A, B, C.vars) for p in row)
+
+
+def test_hom_complex_squares_to_zero():
+    # hom_complex trusts delta_P^2 = delta_Q^2 = f and checks no composite
+    # itself; d1 d0 = d0 d1 = 0 must still hold for every builder's output
+    XYZ = ("x", "y", "z")
+    P_, Q_ = (_koszul_split(XYZ, (2, 3, 4), seed) for seed in (1, 2))
+    assert P_ != Q_ and P_.ranks() == (4, 4)
+    XYUV = ("x", "y", "u", "v")
+    uv = koszul_mf(XYUV, [P("u", XYUV)], [P("v", XYUV)])
+    T1 = tensor_mf(koszul_mf(XYUV, [P("x", XYUV), P("y", XYUV)],
+                             [P("x", XYUV), P("y^2", XYUV)]), uv)
+    T2 = tensor_mf(koszul_mf(XYUV, [P("y", XYUV), P("x", XYUV)],
+                             [P("y^2", XYUV), P("x", XYUV)]), uv)
+    S = direct_sum_mf(P_, Q_)
+    pairs = [(P_, Q_), (Q_, P_), (T1, T2), (S, P_), (Q_, S),
+             (shift_mf(P_), Q_), (Q_, shift_mf(P_))]
+    for A, B in pairs:
+        assert _squares_to_zero(hom_complex(A, B)), (A, B)
 
 
 # -- serialization ------------------------------------------------------------------------

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from mfhrr import groebner, pairing
+from mfhrr.cli import main
 from mfhrr.groebner import ENV_MAX_SPAIRS, IsolatedSingularityError, check_isolated
 from mfhrr.hkrtrace import chern_form, gamma_twist
 from mfhrr.hochschild import ChainError
@@ -188,6 +190,33 @@ def test_nonzero_index_tables(nonzero_tables):
         assert [[r.chi_ext for r in row] for row in reports] == want, name
         assert [[r.chi_residue for r in row] for row in reports] == want, name
         assert all(r.passed for row in reports for r in row), name
+
+
+D6_CHI = [[2, -1, 1, -1, 1, -2],
+          [-1, 3, 2, -2, -3, 1],
+          [1, 2, 3, -3, -2, -1],
+          [-1, -2, -3, 3, 2, 1],
+          [1, -3, -2, 2, 3, -1],
+          [-2, 1, -1, 1, -1, 2]]
+
+
+def test_nonzero_tables_corpus_file(nonzero_tables, capsys):
+    # the shipped corpus file, through the CLI: D4 + u*v is given by
+    # two-pair Koszul specs (prod S, u; prod S^c, v) instead of tensor_mf
+    path = Path(__file__).parent / "data" / "nonzero_tables.json"
+    code = main(["hrr", "--corpus", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["summary"]["pass"] is True
+    grids = {name: want for name, (_, want) in nonzero_tables.items()}
+    grids["D6"] = D6_CHI
+    assert [e["name"] for e in report["entries"]] == ["A3", "A5", "D4", "D6", "D4 + u*v"]
+    for entry in report["entries"]:
+        want = grids[entry["name"]]
+        rows = entry["hrr"]
+        assert all(r["pass"] for r in rows), entry["name"]
+        assert len(rows) == len(want) ** 2, entry["name"]
+        got = [[r["chi_ext"] for r in rows if r["p"] == i] for i in range(len(want))]
+        assert got == want, entry["name"]
 
 
 def test_gamma_twist_dualizes_chern_forms(nonzero_tables):

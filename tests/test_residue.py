@@ -91,7 +91,13 @@ def test_cover_rejects_non_isolated():
 def test_cover_rejects_powers_outside_ideal():
     # x^1 is not in J(x^3) = (3x^2)
     with pytest.raises(NotInIdealError):
-        jacobian_cover(P("x^3", X), exponents=(1,))
+        jac_problem(P("x^3", X), Poly.one(X)).cover((1,))
+
+
+def test_problem_rejects_unit_ideal():
+    # (1, 2y) has no zero at the origin: f = x + y^2 is not critical there
+    with pytest.raises(IsolatedSingularityError):
+        ResidueProblem(Poly.one(XY), [P("1"), P("2*y")])
 
 
 # -- residue problems -----------------------------------------------------------
