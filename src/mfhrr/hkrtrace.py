@@ -240,12 +240,11 @@ def tr_nabla(chain, *, order=DEFAULT_SERIES_ORDER) -> FormSeries:
     Chains carrying Cech tags have componentwise traces; call tr_nabla_cech
     for those.
     """
-    pres, _ = _as_parts(chain)
     comps = _trace_components(chain, order)
     stray = [a for a in comps if a]
     if stray:
         raise ChainError("chain carries Cech indices; use tr_nabla_cech")
-    return comps.get(frozenset(), FormSeries.zero(pres.variables, order))
+    return comps.get(frozenset(), FormSeries.zero(chain.pres.variables, order))
 
 
 def tr_nabla_cech(chain, *, order=DEFAULT_SERIES_ORDER) -> dict:

@@ -1,21 +1,33 @@
 """Ext dimensions and Euler characteristics of matrix factorizations.
 
-The shipping route is exact: kernels of the hom-complex differentials are
-computed as syzygy modules and the homology dimension is a subquotient
-dimension over the polynomial ring.  Taking that subquotient lifts every
-image generator into the kernel, so it also proves d^2 = 0 exactly; this
-is the one place where a complex is checked to be one.  A
-degree-truncated dense linear algebra routine over the same complexes is
-kept alongside as an independent cross-check; the two must agree whenever
-the answer is finite.
+The shipping routes are exact: kernels are computed as syzygy modules and
+each homology dimension is a subquotient dimension over the polynomial
+ring.  Ext(P, Q) is the homology of hom_complex(P, Q), or, when P is a
+Koszul factorization K(a, b) with a regular, the homology of Q reduced
+mod (a), a complex rank(P) times smaller (see ext_dims).  Taking the
+subquotient lifts every image generator into the kernel, so it also
+proves d^2 = 0 exactly (modulo the ideal, on the Koszul route); this is
+the one place where a complex is checked to be one.  A degree-truncated
+dense linear algebra routine over the Hom complex is kept alongside as an
+independent cross-check; the two must agree whenever the answer is
+finite.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .groebner import check_isolated, module_kernel, subquotient_dim
-from .mfcat import MatrixFactorization, Z2Complex, hom_complex
+from .groebner import (
+    GraphBasis,
+    NotInIdealError,
+    check_isolated,
+    module_kernel,
+    subquotient_dim,
+    syzygies,
+)
+from .mfcat import MatrixFactorization, MFValidationError, Z2Complex, hom_complex
+from .polyring import Poly
 
 
 @dataclass
@@ -40,18 +52,37 @@ def _columns(matrix):
     return [tuple(row[j] for row in matrix) for j in range(len(matrix[0]))]
 
 
-def homology_dims(C: Z2Complex):
-    """(dim ker d0/im d1, dim ker d1/im d0, provenance record).
+def _ideal_multiples(ideal, rank, variables):
+    """Every a_k e_j in a free module of the given rank."""
+    zero = Poly.zero(variables)
+    return [tuple(a if i == j else zero for i in range(rank))
+            for a in ideal for j in range(rank)]
 
-    Each column of d1 is lifted into ker d0 and each column of d0 into
-    ker d1, and every lift is verified, so dimensions come back only for a
-    complex: if d0 d1 or d1 d0 is nonzero this raises NonContainmentError
-    (or InfiniteDimensionError, when H0 is already infinite).
+
+def _kernel_mod(d, ideal, variables):
+    """Generators of {v : d v in (ideal) * target}, as tuples over d's source:
+    the kernel of [d | a_1 I | ... | a_r I], projected onto d's source."""
+    extra = _ideal_multiples(ideal, len(d), variables)
+    wide = [tuple(row) + tuple(col[i] for col in extra) for i, row in enumerate(d)]
+    nsrc = len(d[0])
+    return [v[:nsrc] for v in module_kernel(wide) if any(v[:nsrc])]
+
+
+def homology_dims(C: Z2Complex, ideal=()):
+    """(dim H0, dim H1, provenance record) of C tensored with R/(ideal).
+
+    H0 = {v : d0 v in (ideal) C1} / (im d1 + (ideal) C0), and H1 likewise;
+    with no ideal these are ker d0 / im d1 and ker d1 / im d0.  Each column
+    of d1 is lifted into the kernel of d0 and each column of d0 into the
+    kernel of d1, and every lift is verified, so dimensions come back only
+    for a complex modulo the ideal: if d0 d1 or d1 d0 is not in it this
+    raises NonContainmentError (or InfiniteDimensionError, when H0 is
+    already infinite).
     """
-    ker0 = module_kernel(C.d0)
-    ker1 = module_kernel(C.d1)
-    h0 = subquotient_dim(ker0, _columns(C.d1))
-    h1 = subquotient_dim(ker1, _columns(C.d0))
+    ker0 = _kernel_mod(C.d0, ideal, C.vars)
+    ker1 = _kernel_mod(C.d1, ideal, C.vars)
+    h0 = subquotient_dim(ker0, _columns(C.d1) + _ideal_multiples(ideal, C.rank0, C.vars))
+    h1 = subquotient_dim(ker1, _columns(C.d0) + _ideal_multiples(ideal, C.rank1, C.vars))
     prov = {
         "complex_dims": [C.rank0, C.rank1],
         "kernel_generators": [len(ker0), len(ker1)],
@@ -59,16 +90,76 @@ def homology_dims(C: Z2Complex):
     return h0, h1, prov
 
 
+@lru_cache(maxsize=None)
+def is_koszul_regular(a: tuple) -> bool:
+    """Whether the Koszul complex K(a) resolves R/(a), i.e. H_1(a) = 0.
+
+    H_1(a) is the syzygy module of a modulo the Koszul relations
+    a_j e_i - a_i e_j, so it vanishes exactly when every syzygy of a is a
+    combination of those relations.  A zero entry is rejected outright.
+    """
+    if any(p.is_zero() for p in a):
+        return False
+    syz = syzygies(a)
+    r = len(a)
+    zero = Poly.zero(a[0].vars)
+    relations = [tuple(a[j] if k == i else -a[i] if k == j else zero for k in range(r))
+                 for i in range(r) for j in range(i + 1, r)]
+    if not relations:
+        return not syz
+    graph = GraphBasis(relations)
+    try:
+        for s in syz:
+            graph.cofactors(s)
+    except NotInIdealError:
+        return False
+    return True
+
+
 def ext_dims(P: MatrixFactorization, Q: MatrixFactorization) -> ExtReport:
     """Dimensions of the even and odd cohomology of hom_complex(P, Q).
 
     Requires the common potential to have an isolated critical point at the
     origin, and checks that first.
+
+    Two routes give the same numbers; provenance["route"] names the one
+    taken.  When P carries a Koszul sequence a = (a_1, ..., a_r)
+    (P.koszul, so P is isomorphic to K(a, b)) and H_1(a) = 0, then
+
+        Ext^i(P, Q) = H^{i + r mod 2}(Q (x) R/(a)),
+
+    the homology of Q's own differential reduced mod (a); this is the
+    "koszul" route, on a complex of rank(Q) instead of rank(P) rank(Q).
+    Why: Hom(K(a, b), Q) is the exterior algebra on r odd generators
+    tensored with Q, with differential s + t + delta_Q, where s is the
+    Koszul cochain differential of a (degree +1 in the exterior grading)
+    and t, built from b, has degree -1.  H_1(a) = 0 makes a Koszul-regular
+    (locally at each prime over (a) it is a regular sequence, elsewhere
+    the Koszul homology vanishes anyway), so the s-cohomology of the
+    exterior algebra over R is R/(a), concentrated in exterior degree r.
+    Over the rationals pick a contraction onto it and perturb by t and
+    delta_Q (the perturbation lemma): the exterior filtration is finite,
+    every correction term passes through the homotopy and so leaves
+    degree r, and the transferred differential is delta_Q mod (a).
+    Degree r of the exterior algebra has parity r, which shifts the
+    Z/2 degree by r.  is_koszul_regular makes the H_1 test with a graph
+    basis; a sequence that fails it, and every P without a sequence, takes
+    the "hom_complex" route: homology_dims(hom_complex(P, Q)).
     """
     check_isolated(P.f)
-    C = hom_complex(P, Q)
-    h0, h1, prov = homology_dims(C)
-    return ExtReport(h0, h1, h0 - h1, prov)
+    if P.vars != Q.vars:
+        raise MFValidationError("factorizations over different variable lists")
+    if P.f != Q.f:
+        raise MFValidationError("factorizations of different potentials")
+    if P.koszul is not None and is_koszul_regular(P.koszul):
+        h0, h1, prov = homology_dims(Z2Complex(Q.vars, Q.delta0, Q.delta1), P.koszul)
+        if len(P.koszul) % 2:
+            h0, h1 = h1, h0
+        route = "koszul"
+    else:
+        h0, h1, prov = homology_dims(hom_complex(P, Q))
+        route = "hom_complex"
+    return ExtReport(h0, h1, h0 - h1, {**prov, "route": route})
 
 
 def euler_chi(P: MatrixFactorization, Q: MatrixFactorization) -> int:

@@ -63,9 +63,15 @@ def mat_transpose(A):
 
 
 class MatrixFactorization:
-    """Validated pair (delta0, delta1) with delta1 delta0 = delta0 delta1 = f."""
+    """Validated pair (delta0, delta1) with delta1 delta0 = delta0 delta1 = f.
 
-    __slots__ = ("vars", "f", "delta0", "delta1", "rank0", "rank1")
+    ``koszul`` is the sequence a when the factorization is known to be
+    isomorphic to a Koszul factorization K(a, b) (koszul_mf, and tensor_mf
+    of two such), else None.  It is a hint for homalg.ext_dims, not part of
+    the factorization: equality and hashing ignore it.
+    """
+
+    __slots__ = ("vars", "f", "delta0", "delta1", "rank0", "rank1", "koszul")
 
     def __init__(self, variables: Sequence[str], f: Poly, delta0, delta1):
         self.vars = tuple(variables)
@@ -83,6 +89,7 @@ class MatrixFactorization:
             raise MFValidationError(
                 f"delta1 has {len(self.delta1)} rows, expected rank0={self.rank0}")
         self._check_square()
+        self.koszul = None
 
     def _check_square(self):
         for name, A, B, rank in (("delta1*delta0", self.delta1, self.delta0, self.rank0),
@@ -198,7 +205,9 @@ def koszul_mf(variables, a: Sequence[Poly], b: Sequence[Poly]) -> MatrixFactoriz
                     below = sum(1 for x in s if x < i)
                     yield s, tuple(sorted(s + (i,))), b[i - 1] * ((-1) ** below)
 
-    return MatrixFactorization(variables, f, *_odd_map(variables, even, odd, entries()))
+    K = MatrixFactorization(variables, f, *_odd_map(variables, even, odd, entries()))
+    K.koszul = tuple(a)
+    return K
 
 
 # -- functors -------------------------------------------------------------------
@@ -238,7 +247,9 @@ def tensor_mf(P: MatrixFactorization, Q: MatrixFactorization) -> MatrixFactoriza
     Basis vectors are labeled (i, j) for p_i (x) q_j, indices in delta_full,
     and ordered by (|p_i|, i, j): even part (P0 x Q0, then P1 x Q1), odd
     part (P0 x Q1, then P1 x Q0).  delta(p (x) q) = delta(p) (x) q
-    + (-1)^{|p|} p (x) delta(q).
+    + (-1)^{|p|} p (x) delta(q).  K(a, b) (x) K(a', b') is isomorphic to
+    K(a a', b b'), so a product of two Koszul factorizations records the
+    concatenated sequence.
     """
     if P.vars != Q.vars:
         raise MFValidationError("tensor factors over different variable lists")
@@ -257,7 +268,10 @@ def tensor_mf(P: MatrixFactorization, Q: MatrixFactorization) -> MatrixFactoriza
             for s, row in enumerate(dQ):
                 yield (i, j), (i, s), row[j] * sign
 
-    return MatrixFactorization(P.vars, P.f + Q.f, *_odd_map(P.vars, even, odd, entries()))
+    T = MatrixFactorization(P.vars, P.f + Q.f, *_odd_map(P.vars, even, odd, entries()))
+    if P.koszul is not None and Q.koszul is not None:
+        T.koszul = P.koszul + Q.koszul
+    return T
 
 
 # -- Z/2-graded complexes (delta^2 = 0) -------------------------------------------

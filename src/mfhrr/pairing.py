@@ -10,7 +10,6 @@ together with the seeded identity suites for the chain-level operators.
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from dataclasses import dataclass
@@ -25,7 +24,6 @@ from .hochschild import (
     UChain,
     b_op,
     chain_parity,
-    cyclic_sh_op,
     endomorphism_presentation,
     eta_construct,
     euler_trace,

@@ -115,6 +115,8 @@ def test_ext_command(capsys, mf_file):
     assert code == 0
     data = json.loads(out)
     assert (data["dim_ext0"], data["dim_ext1"], data["chi"]) == (1, 0, 1)
+    # JSON input carries no Koszul sequence
+    assert data["provenance"]["route"] == "hom_complex"
 
 
 def test_chern_command(capsys, mf_file):

@@ -84,7 +84,7 @@ def test_determinism():
 
 # -- membership ---------------------------------------------------------------
 
-def test_member_with_cofactors():
+def test_cofactors_recombine_to_target():
     gens = [P("x^2"), P("x*y + y^2")]
     cof = GraphBasis(gens).cofactors(P("y^3"))
     acc = Poly.zero(XY)

@@ -1,23 +1,36 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from mfhrr.groebner import (
     InfiniteDimensionError,
     IsolatedSingularityError,
     NonContainmentError,
 )
-from mfhrr.homalg import euler_chi, ext_dims, ext_dims_truncated, homology_dims
+from mfhrr.homalg import (
+    euler_chi,
+    ext_dims,
+    ext_dims_truncated,
+    homology_dims,
+    is_koszul_regular,
+)
 from mfhrr.mfcat import (
+    MFValidationError,
     MatrixFactorization,
     Z2Complex,
     direct_sum_mf,
+    hom_complex,
     koszul_mf,
     shift_mf,
+    tensor_mf,
 )
+from mfhrr.pairing import _load_entry_mf, default_corpus, hrr_check
 from mfhrr.polyring import Poly, parse_poly
 
 X = ("x",)
@@ -98,20 +111,20 @@ def test_validation_rejects_nonisolated():
 
 # -- homology of bare complexes --------------------------------------------------
 
-def test_complex_euler_koszul_one_var():
+def test_homology_koszul_complex_one_var():
     C = Z2Complex(X, [[pp("0", X)]], [[pp("x", X)]])
     h0, h1, _ = homology_dims(C)
     assert h0 - h1 == 1
 
 
-def test_complex_euler_koszul_two_vars():
+def test_homology_koszul_complex_two_vars():
     d0 = [[pp("0"), pp("-y")], [pp("0"), pp("x")]]
     d1 = [[pp("x"), pp("y")], [pp("0"), pp("0")]]
     h0, h1, _ = homology_dims(Z2Complex(XY, d0, d1))
     assert h0 - h1 == 1
 
 
-def test_complex_euler_not_primary():
+def test_homology_rejects_infinite_dimension():
     C = Z2Complex(X, [[pp("0", X)]], [[pp("0", X)]])
     with pytest.raises(InfiniteDimensionError):
         homology_dims(C)
@@ -225,3 +238,123 @@ def test_truncated_oracle_agrees():
     for P, Q in pairs:
         r = ext_dims(P, Q)
         assert ext_dims_truncated(P, Q) == (r.dim_ext0, r.dim_ext1)
+
+
+# -- the Koszul route --------------------------------------------------------------
+
+def _syzygy_dims(P, Q):
+    return homology_dims(hom_complex(P, Q))[:2]
+
+
+def _corpus_pairs(entries):
+    for entry in entries:
+        variables = tuple(entry["vars"])
+        mfs = [_load_entry_mf(s, variables) for s in entry["mfs"]]
+        for P in mfs:
+            for Q in mfs:
+                yield entry["name"], P, Q
+
+
+@pytest.mark.parametrize("source", ["default_corpus", "nonzero_tables"])
+def test_koszul_route_matches_hom_complex(source):
+    if source == "default_corpus":
+        entries = default_corpus()
+    else:
+        path = Path(__file__).parent / "data" / "nonzero_tables.json"
+        entries = json.loads(path.read_text())
+    count = 0
+    for name, P, Q in _corpus_pairs(entries):
+        r = ext_dims(P, Q)
+        assert r.provenance["route"] == "koszul", name
+        assert (r.dim_ext0, r.dim_ext1) == _syzygy_dims(P, Q), name
+        count += 1
+    assert count == (62 if source == "default_corpus" else 116)
+
+
+def test_koszul_regularity():
+    def seq(*strs):
+        return tuple(pp(s) for s in strs)
+
+    assert is_koszul_regular(seq("x", "y"))
+    assert is_koszul_regular(seq("x*y"))
+    assert not is_koszul_regular(seq("x", "x"))
+    assert not is_koszul_regular(seq("x*y", "x"))
+    assert not is_koszul_regular(seq("x", "0"))
+
+
+def test_non_regular_sequence_takes_hom_complex():
+    # a = (x, x) is no regular sequence; f = x^2 + x*y^2 is an A3 singularity
+    P = koszul_mf(XY, [pp("x"), pp("x")], [pp("x"), pp("y^2")])
+    assert P.f == pp("x^2 + x*y^2")
+    r = ext_dims(P, P)
+    assert r.provenance["route"] == "hom_complex"
+    assert (r.dim_ext0, r.dim_ext1) == _syzygy_dims(P, P) == (4, 4)
+
+
+def test_json_input_takes_hom_complex():
+    K = K_xy()
+    plain = MatrixFactorization(K.vars, K.f, K.delta0, K.delta1)
+    r = ext_dims(plain, plain)
+    assert r.provenance["route"] == "hom_complex"
+    assert (r.dim_ext0, r.dim_ext1) == (1, 0)
+    # only the source's sequence counts
+    r = ext_dims(plain, K)
+    assert r.provenance["route"] == "hom_complex"
+    assert ext_dims(K, plain).provenance["route"] == "koszul"
+
+
+def test_four_variable_rung():
+    V = ("x", "y", "z", "w")
+    K = koszul_mf(V, [pp(v, V) for v in V], [pp(v, V) for v in V])
+    r = ext_dims(K, K)
+    assert r.provenance["route"] == "koszul"
+    assert (r.dim_ext0, r.dim_ext1) == (8, 8)
+
+
+def test_ext_rejects_mismatched_pair():
+    with pytest.raises(MFValidationError):
+        ext_dims(K_xy(), koszul_mf(XY, [pp("x")], [pp("y^2")]))
+
+
+# three routes to chi on random branch curves: the Koszul route, the
+# Hom-complex route and the residue pairing, plus chi(P,Q) = (-1)^n chi(Q,P)
+
+XYUV = ("x", "y", "u", "v")
+
+
+@st.composite
+def branch_pairs(draw):
+    k = draw(st.integers(2, 4))
+    e = draw(st.integers(1, 3))
+    cs = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k, unique=True))
+    stabilize = draw(st.booleans())
+    masks = st.integers(1, 2 ** k - 2)
+    branches = [f"(x - {c}*y^{e})" if c >= 0 else f"(x + {-c}*y^{e})" for c in cs]
+    return branches, stabilize, draw(masks), draw(masks)
+
+
+def _split(branches, mask, variables):
+    def prod(keep):
+        return "*".join(b for i, b in enumerate(branches) if bool(mask >> i & 1) == keep)
+
+    return koszul_mf(variables, [pp(prod(True), variables)], [pp(prod(False), variables)])
+
+
+@seed(20231)
+@settings(max_examples=20, deadline=None, database=None)
+@given(branch_pairs())
+def test_three_routes_agree_on_branch_curves(case):
+    branches, stabilize, m, m2 = case
+    variables = XYUV if stabilize else XY
+    P, Q = _split(branches, m, variables), _split(branches, m2, variables)
+    if stabilize:
+        uv = koszul_mf(XYUV, [pp("u", XYUV)], [pp("v", XYUV)])
+        P, Q = tensor_mf(P, uv), tensor_mf(Q, uv)
+    n = len(variables)
+    for A, B in ((P, Q), (Q, P)):
+        r = ext_dims(A, B)
+        assert r.provenance["route"] == "koszul"
+        h0, h1 = _syzygy_dims(A, B)
+        assert r.chi == h0 - h1
+        assert hrr_check(A, B).chi_residue == r.chi
+    assert euler_chi(P, Q) == (-1) ** n * euler_chi(Q, P)

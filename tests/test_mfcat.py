@@ -52,13 +52,13 @@ def test_koszul_two_rows():
     assert K.delta1 == ((P("x"), P("y")), (P("-y^2"), P("x")))
 
 
-def test_mf_new_validation_reports_entry():
+def test_mf_constructor_reports_bad_entry():
     with pytest.raises(MFValidationError) as e:
         MatrixFactorization(XY, P("x*y"), [[P("y")]], [[P("x + 1")]])
     assert "(0,0)" in str(e.value)
 
 
-def test_mf_new_shape_validation():
+def test_mf_constructor_rejects_bad_shape():
     with pytest.raises(MFValidationError):
         MatrixFactorization(XY, P("x*y"), [[P("y"), P("0")]], [[P("x")]])
 
@@ -124,6 +124,24 @@ def test_tensor():
     K = koszul_mf(V4, [parse_poly("x1", V4), parse_poly("x3", V4)],
                   [parse_poly("x2", V4), parse_poly("x4", V4)])
     assert T.f == K.f
+
+
+def test_koszul_sequence_slot():
+    # koszul_mf records a, tensor_mf concatenates two records, every other
+    # constructor records nothing; equality and hashing ignore the slot
+    V4 = ("x1", "x2", "x3", "x4")
+    a1, a3 = parse_poly("x1", V4), parse_poly("x3", V4)
+    A = koszul_mf(V4, [a1], [parse_poly("x2", V4)])
+    B = koszul_mf(V4, [a3], [parse_poly("x4", V4)])
+    assert A.koszul == (a1,)
+    T = tensor_mf(A, B)
+    assert T.koszul == (a1, a3)
+    plain = mf_from_json(mf_to_json(A))
+    assert plain.koszul is None
+    assert plain == A and hash(plain) == hash(A)
+    assert tensor_mf(plain, B).koszul is None
+    for M in (dual_mf(A), shift_mf(A), direct_sum_mf(A, A)):
+        assert M.koszul is None
 
 
 def test_tensor_blocks():
