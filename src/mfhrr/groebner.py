@@ -134,13 +134,10 @@ class _Basis:
         return None
 
 
-def _reduce_full(v, basis: _Basis, want_quotients=False):
-    """Fully reduce v against the basis.  Returns (remainder, quotients)
-    where quotients[i] is a ring-poly dict with
-    v = sum_i quotients[i] * basis[i] + remainder."""
+def _reduce_full(v, basis: _Basis):
+    """Fully reduce v against the basis; returns the remainder."""
     key = basis.key
     rem = dict(v)
-    quot: dict[int, dict] = {}
     # repeatedly reduce the largest still-reducible term
     pending = sorted(rem, key=key, reverse=True)
     while pending:
@@ -156,14 +153,9 @@ def _reduce_full(v, basis: _Basis, want_quotients=False):
         shift = _mono_div(t[1], lc_mono)
         ratio = c / g[basis.leads[i]]
         rem = v_sub_scaled(rem, ratio, shift, g)
-        if want_quotients:
-            q = quot.setdefault(i, {})
-            q[shift] = q.get(shift, Fraction(0)) + ratio
-            if not q[shift]:
-                del q[shift]
         # new terms may have appeared strictly below t
         pending = sorted((s for s in rem if key(s) <= key(t)), key=key, reverse=True)
-    return rem, quot
+    return rem
 
 
 def _max_spairs():
@@ -244,7 +236,7 @@ def _buchberger_raw(vectors, order: str, use_product_criterion: bool):
             t = (c, _mono_mul(si, m))
             s[t] = s.get(t, Fraction(0)) + a / lci
         s = v_sub_scaled(s, Fraction(1) / gj[lj], sj, gj)
-        rem, _ = _reduce_full(s, basis)
+        rem = _reduce_full(s, basis)
         if rem:
             push_pairs(basis.add(rem))
 
@@ -270,7 +262,7 @@ def _buchberger_raw(vectors, order: str, use_product_criterion: bool):
     for v, lead in zip(minimal.elems, minimal.leads):
         tail = dict(v)
         del tail[lead]
-        tail, _ = _reduce_full(tail, minimal)
+        tail = _reduce_full(tail, minimal)
         tail[lead] = v[lead]
         lc = tail[lead]
         reduced.elems.append({t: a / lc for t, a in tail.items()})
@@ -343,7 +335,7 @@ def buchberger(gens, order: str = "degrevlex") -> GroebnerBasis:
 
 def normal_form(p, gb: GroebnerBasis):
     """Canonical remainder of p modulo the reduced basis."""
-    rem, _ = _reduce_full(_to_vec(p, gb.ncomp), gb.basis)
+    rem = _reduce_full(_to_vec(p, gb.ncomp), gb.basis)
     out = _from_vec(rem, gb.vars, gb.ncomp)
     return out[0] if isinstance(p, Poly) and gb.ncomp == 1 else out
 
@@ -423,7 +415,7 @@ class GraphBasis:
         """Tuple c of Poly with sum c_k g_k = target; NotInIdealError otherwise."""
         ncomp = self.ncomp
         vec = _to_vec(target, ncomp)
-        rem, _ = _reduce_full(vec, self.basis)
+        rem = _reduce_full(vec, self.basis)
         if any(comp < ncomp for comp, _ in rem):
             raise NotInIdealError("polynomial is not in the span of the generators")
         return self._verified({(c - ncomp, m): -a for (c, m), a in rem.items()}, vec)

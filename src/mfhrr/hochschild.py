@@ -3,7 +3,10 @@
 Chains are finite rational combinations of words a0[a1|...|an].  Each letter
 is a monomial multiple of one element of a fixed constant-matrix basis for
 the algebra (index 0 is the identity), so every operator can be evaluated
-exactly from a multiplication table and a differential table.  The same
+exactly from a multiplication table and a differential table.  Every stored
+coefficient is an int when it is integral and a Fraction (denominator > 1)
+when it is not, never a float, so the operators run on machine ints on
+integral words.  The same
 engine drives the plain polynomial algebra with declared curvature (the
 classical mixed complex) and endomorphism algebras of matrix factorizations,
 optionally with inverted variables and exterior Cech symbols for the local
@@ -39,8 +42,10 @@ def _mono_add(a, b):
 
 
 def _exact(c):
-    """A table constant, as an int when it is integral: the chain kernels
-    then test for the common +-1 cheaply, and products stay exact."""
+    """A coefficient in its one stored form: an int when it is integral,
+    else a Fraction.  Applied where coefficients enter a table or a chain."""
+    if type(c) is int:
+        return c
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
@@ -75,7 +80,8 @@ class AlgebraPresentation:
                      for i, rows in diff.items()}
         self.curvature = tuple((mono, k, _exact(c)) for mono, k, c in curvature)
         self.normalization = normalization
-        self.names = dict(names)
+        self.names = {name: tuple((k, _exact(c)) for k, c in terms)
+                      for name, terms in names.items()}
         self.display = tuple(display)
         self.laurent = frozenset(laurent)
         self.label = label
@@ -87,7 +93,7 @@ class AlgebraPresentation:
     def atom(self, spec):
         """An atom from a generator name, optionally with a monomial."""
         if isinstance(spec, tuple) and len(spec) == 2 and isinstance(spec[0], tuple):
-            return [(spec, Fraction(1))]
+            return [(spec, 1)]
         mono = _zero_mono(len(self.variables))
         if isinstance(spec, tuple):
             name, mono = spec
@@ -99,8 +105,8 @@ class AlgebraPresentation:
 
     def chain(self, a0, entries=(), coeff=1, alphas=()):
         """Build the word a0[entries], expanding named generators."""
-        coeff = Fraction(coeff)
-        words = [((), Fraction(1))]
+        coeff = _exact(coeff)
+        words = [((), 1)]
         for spec in (a0, *entries):
             expansion = self.atom(spec)
             words = [(atoms + (atom,), c * ac)
@@ -365,21 +371,27 @@ def tensor_presentation(A: AlgebraPresentation, B: AlgebraPresentation):
 # -- chains ---------------------------------------------------------------------
 
 def _add_term(out, key, coeff):
+    """Accumulate coeff at key; a Fraction that has become integral (a sum
+    or a product of Fractions) is stored as an int."""
     if not coeff:
         return
     cur = out.get(key)
-    if cur is None:
-        out[key] = coeff
-    else:
-        cur += coeff
-        if cur:
-            out[key] = cur
-        else:
+    if cur is not None:
+        coeff += cur
+        if not coeff:
             del out[key]
+            return
+    if type(coeff) is Fraction and coeff.denominator == 1:
+        coeff = coeff.numerator
+    out[key] = coeff
 
 
 class Chain:
     """Finite combination of words (alphas, (a0, a1, ..., an)).
+
+    terms maps each word to a nonzero coefficient, an int when it is
+    integral and a Fraction otherwise (never a float, never a Fraction with
+    denominator 1); every constructor and operator keeps that form.
 
     In module mode the complex is relative to the polynomial ring, so
     monomial factors are central scalars: the canonical form collects them
@@ -399,7 +411,7 @@ class Chain:
                 continue
             if module_mode and len(key[1]) > 1:
                 key = (key[0], self._collect(key[1]))
-            _add_term(clean, key, coeff)
+            _add_term(clean, key, _exact(coeff))
         self.pres = pres
         self.terms = clean
 
@@ -446,10 +458,11 @@ class Chain:
         return self.scale(-1)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _exact(c)
         if not c:
             return Chain.canonical(self.pres, {})
-        return Chain.canonical(self.pres, {k: v * c for k, v in self.terms.items()})
+        return Chain.canonical(self.pres,
+                               {k: _exact(v * c) for k, v in self.terms.items()})
 
     def mul_mono(self, mono):
         """Multiply by a central monomial (lands on the a0 slot)."""
@@ -571,14 +584,14 @@ def b_op(chain: Chain) -> Chain:
         # _add_term without its zero test (every v here is nonzero), inlined
         # because b_op makes most of the words in the tower
         cur = get(key)
-        if cur is None:
-            out[key] = v
-        else:
-            cur += v
-            if cur:
-                out[key] = cur
-            else:
+        if cur is not None:
+            v += cur
+            if not v:
                 del out[key]
+                return
+        if type(v) is Fraction and v.denominator == 1:
+            v = v.numerator
+        out[key] = v
 
     def put_letter(alphas, atoms, j, mono, k, v):
         """The word atoms with slot j >= 1 replaced by the letter (mono, k)."""
@@ -809,9 +822,11 @@ def cyclic_sh_op(x: Chain, y: Chain) -> Chain:
 
 # -- duality --------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def star_map(source: AlgebraPresentation, target: AlgebraPresentation):
     """Index-level table of a -> a* between endomorphism presentations of a
-    factorization and of its dual.
+    factorization and of its dual, built once per pair (presentations hash
+    by identity); callers only read it.
 
     The sign is (-1)^{|a| |s xi|} on xi . a, i.e. the shifted parity of the
     dual vector; this is the convention induced by the dual factorization's
@@ -829,7 +844,8 @@ def star_map(source: AlgebraPresentation, target: AlgebraPresentation):
         starred = tuple(tuple(
             (Fraction(-1) if (par and not pars[i]) else Fraction(1)) * mat[i][j]
             for i in range(n)) for j in range(n))
-        table[idx] = tuple(_expand_const(starred, (n, index_lookup)))
+        table[idx] = tuple((k, _exact(c))
+                           for k, c in _expand_const(starred, (n, index_lookup)))
     return table
 
 
@@ -999,32 +1015,44 @@ def _proportionality(lhs: Chain, rhs: Chain):
         return Fraction(0) if lhs.is_zero() else None
     if lhs.terms.keys() != rhs.terms.keys():
         return None
-    ratios = {lhs.terms[k] / rhs.terms[k] for k in rhs.terms}
+    # Fraction division: int / int would give a float
+    ratios = {Fraction(lhs.terms[k]) / rhs.terms[k] for k in rhs.terms}
     return ratios.pop() if len(ratios) == 1 else None
 
 
-@lru_cache(maxsize=None)
 def phi_construct(j: int, order: int) -> UChain:
-    """The u-series phi_j with (b + uB)(phi_j) = b(phi_j's u^0 part),
-    verified degree by degree before returning; a ChainError means the
-    identity failed.
+    """The u-series phi_j with (b + uB)(phi_j) = b(phi_j's u^0 part); a
+    ChainError means the identity failed.
 
-    Each (j, order) is built and verified once per process and the same
-    UChain is returned to every caller (eta_construct needs phi_0 ... phi_j
-    for each j).  Its parts are a tuple and no chain operation changes a
-    chain in place, so callers share it safely; they must not assign to
-    the terms of its chains.
+    Each (j, order) is built once per process and the same UChain is
+    returned to every caller (eta_construct needs phi_0 ... phi_j for each
+    j).  Its parts are a tuple and no chain operation changes a chain in
+    place, so callers share it safely; they must not assign to the terms of
+    its chains.
 
     The tower is built by shuffling e*[e|e] onto a B-exact seed.  Because
     the endomorphism algebra is not commutative, the shuffle product stops
     being a chain map at u^3 and the textbook recursion constant drifts by
     an exact rational factor; b(omega_k) stays proportional to
-    B(omega_(k-1)), so each level is rescaled to make the defining relation
-    hold on the nose, and the result is checked term by term.
+    B(omega_(k-1)), so level k is rescaled by that ratio.
+
+    Each degree k >= 1 is proved once, where part k is made: b(omega_k) =
+    B(omega_(k-1)) holds term by term, or the two sides are proportional
+    term by term and omega_k is divided by the exact ratio; part k is
+    (-1)^k omega_k, so b(part_k) + B(part_(k-1)) = 0.  Over all k that is
+    the whole identity, so no closing pass replays it.
     """
+    return _phi_tower(j, order)[0]
+
+
+@lru_cache(maxsize=None)
+def _phi_tower(j, order):
+    """phi_construct's build: phi_j modulo u^order and the rescale ratios
+    it applied, as ((k, ratio), ...)."""
     pres = local_model_presentation()
     omega = pres.chain("e", ["e*"] * j)
     parts = [omega]
+    ratios = []
     little_phi = None
     for k in range(1, order):
         if k == 1:
@@ -1036,24 +1064,19 @@ def phi_construct(j: int, order: int) -> UChain:
             seed = pres.chain("e*", ["e"]).scale(Fraction(-1, 3))
             little_phi = B_op(sh_op(seed, little_phi))
         omega_k = sh_op(pres.chain("e*", ["e", "e"]), little_phi)
-        prev_omega = parts[-1].scale((-1) ** (k - 1))
-        lhs, rhs = b_op(omega_k), B_op(prev_omega)
-        if not (lhs - rhs).is_zero():
+        lhs, rhs = b_op(omega_k), B_op(omega)
+        if lhs != rhs:
             ratio = _proportionality(lhs, rhs)
-            if ratio is None or ratio == 0:
+            if not ratio:
                 raise ChainError(
                     f"phi construction broke at j={j}, u^{k}: "
                     f"b(omega_k) = {lhs!r} but B(omega_(k-1)) = {rhs!r}")
             little_phi = little_phi.scale(1 / ratio)
             omega_k = omega_k.scale(1 / ratio)
-            if not (b_op(omega_k) - rhs).is_zero():
-                raise ChainError(f"rescale failed at j={j}, u^{k}")
+            ratios.append((k, ratio))
+        omega = omega_k
         parts.append(omega_k.scale((-1) ** k))
-    phi = UChain(pres, parts)
-    target = UChain.from_chain(b_op(parts[0]), order)
-    if not (mixed_differential(phi) - target).is_zero():
-        raise ChainError(f"phi_{j} failed its defining identity at order {order}")
-    return phi
+    return UChain(pres, parts), tuple(ratios)
 
 
 def eta_construct(j: int, order: int) -> UChain:

@@ -291,7 +291,7 @@ def _single_word(pres, rng, max_len):
         c = random_chain(pres, rng, max_len=max_len, max_exp=1, nterms=1)
         if c.terms:
             return c
-    raise AssertionError("could not sample a nonzero word")
+    raise ChainError("could not sample a nonzero word")
 
 
 def mixed_axioms_suite(*, count=200, seed=0) -> dict:

@@ -108,7 +108,7 @@ def _build_cover(denominators, gb, exponents, bound, order) -> DenominatorCover:
             while not normal_form(_pure_power(variables, i, k), gb).is_zero():
                 k += 1
                 if k > bound:
-                    raise AssertionError(
+                    raise IsolatedSingularityError(
                         f"no power of {variables[i]} up to {bound} in the ideal "
                         "(validation should have caught this)")
             found.append(k)
