@@ -1,9 +1,13 @@
 """Groebner bases for ideals and submodules of free modules over Q[x].
 
 The engine works on sparse vectors: dicts mapping (component, exponent
-tuple) to Fraction.  Module terms are compared position-over-term: lower
-component wins, ties broken by the ring order (degrevlex by default).
-Ideals are rank-one modules.
+tuple) to a nonzero rational, stored as an int when it is integral and as
+a Fraction (denominator > 1) otherwise, so integral work runs on machine
+ints.  Every working basis element is stored monic, so reduction and
+S-vectors multiply and subtract only; the one division is the monic step.
+Module terms are compared position-over-term: lower component wins, ties
+broken by the ring order (degrevlex by default).  Ideals are rank-one
+modules.
 
 Cofactor certificates and syzygies both come from one construction,
 GraphBasis: Buchberger runs once per generator set, on the graph module
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .polyring import LaurentError, Poly, degrevlex_key
+from .polyring import LaurentError, Poly, _exact, degrevlex_key
 
 DEFAULT_MAX_SPAIRS = 10**6
 ENV_MAX_SPAIRS = "MFHRR_MAX_SPAIRS"
@@ -95,16 +99,17 @@ def _mono_lcm(a, b):
 
 
 # -- sparse vectors ----------------------------------------------------------
-# Vec = dict[(comp, mono)] -> Fraction, zero coefficients never stored.
+# Vec = dict[(comp, mono)] -> int or Fraction, as _exact leaves it: an int
+# when integral, a Fraction with denominator > 1 otherwise, zeros never stored.
 
 def v_sub_scaled(v, c, mono, g):
     """v - c * x^mono * g, in place on a copy."""
     out = dict(v)
     for (comp, m), a in g.items():
         t = (comp, _mono_mul(mono, m))
-        b = out.get(t, Fraction(0)) - c * a
+        b = out.get(t, 0) - c * a
         if b:
-            out[t] = b
+            out[t] = _exact(b)
         elif t in out:
             del out[t]
     return out
@@ -114,7 +119,7 @@ def v_lead(v, key):
 
 
 class _Basis:
-    """Working basis with leading-term bookkeeping."""
+    """Working basis of monic elements with leading-term bookkeeping."""
 
     def __init__(self, order: str):
         self.key = term_key(order)
@@ -122,8 +127,12 @@ class _Basis:
         self.leads: list[tuple] = []
 
     def add(self, v):
+        lead = v_lead(v, self.key)
+        lc = v[lead]
+        if lc != 1:
+            v = {t: _exact(Fraction(a, lc)) for t, a in v.items()}
         self.elems.append(v)
-        self.leads.append(v_lead(v, self.key))
+        self.leads.append(lead)
         return len(self.elems) - 1
 
     def find_reducer(self, term):
@@ -148,11 +157,8 @@ def _reduce_full(v, basis: _Basis):
         i = basis.find_reducer(t)
         if i is None:
             continue
-        lc_comp, lc_mono = basis.leads[i]
-        g = basis.elems[i]
-        shift = _mono_div(t[1], lc_mono)
-        ratio = c / g[basis.leads[i]]
-        rem = v_sub_scaled(rem, ratio, shift, g)
+        shift = _mono_div(t[1], basis.leads[i][1])
+        rem = v_sub_scaled(rem, c, shift, basis.elems[i])
         # new terms may have appeared strictly below t
         pending = sorted((s for s in rem if key(s) <= key(t)), key=key, reverse=True)
     return rem
@@ -181,7 +187,7 @@ def _buchberger_raw(vectors, order: str, use_product_criterion: bool):
 
     for v in vectors:
         if v:
-            basis.add(dict(v))
+            basis.add(v)
 
     # pair queue keyed by the order key of the lcm term (normal strategy)
     pairs: list = []
@@ -229,13 +235,9 @@ def _buchberger_raw(vectors, order: str, use_product_criterion: bool):
         li, lj = basis.leads[i], basis.leads[j]
         si = _mono_div(lcm, li[1])
         sj = _mono_div(lcm, lj[1])
-        # s-vector: normalize both shifts to coefficient 1 at the lcm term
-        s: dict = {}
-        lci = gi[li]
-        for (c, m), a in gi.items():
-            t = (c, _mono_mul(si, m))
-            s[t] = s.get(t, Fraction(0)) + a / lci
-        s = v_sub_scaled(s, Fraction(1) / gj[lj], sj, gj)
+        # s-vector of two monic elements: x^si g_i - x^sj g_j
+        s = {(c, _mono_mul(si, m)): a for (c, m), a in gi.items()}
+        s = v_sub_scaled(s, 1, sj, gj)
         rem = _reduce_full(s, basis)
         if rem:
             push_pairs(basis.add(rem))
@@ -255,7 +257,7 @@ def _buchberger_raw(vectors, order: str, use_product_criterion: bool):
     minimal.elems = [basis.elems[i] for i in kept]
     minimal.leads = [basis.leads[i] for i in kept]
 
-    # tail-reduce each against the minimal basis, then make monic: an
+    # tail-reduce each monic element against the minimal basis: an
     # element's lead divides none of its own tail terms, and the leads stay
     reduced = _Basis(order)
     reduced.leads = minimal.leads
@@ -263,9 +265,8 @@ def _buchberger_raw(vectors, order: str, use_product_criterion: bool):
         tail = dict(v)
         del tail[lead]
         tail = _reduce_full(tail, minimal)
-        tail[lead] = v[lead]
-        lc = tail[lead]
-        reduced.elems.append({t: a / lc for t, a in tail.items()})
+        tail[lead] = 1
+        reduced.elems.append(tail)
 
     stats = {"spairs": processed, "basis_size": len(reduced.elems)}
     return reduced, stats
@@ -301,7 +302,7 @@ def _to_vec(g, ncomp) -> dict:
             if any(e < 0 for e in mono):
                 raise LaurentError(f"negative exponent in {p}: the Groebner engine "
                                    "takes ordinary polynomials")
-            vec[(comp, mono)] = c
+            vec[(comp, mono)] = _exact(c)
     return vec
 
 
@@ -400,7 +401,7 @@ class GraphBasis:
         self.vars = tuple(variables)
         self.gens = [_to_vec(g, self.ncomp) for g in gens]
         tag = (0,) * len(self.vars)
-        graph = [{**g, (self.ncomp + k, tag): Fraction(1)}
+        graph = [{**g, (self.ncomp + k, tag): 1}
                  for k, g in enumerate(self.gens)]
         self.basis, _ = _buchberger_raw(graph, order, False)
 

@@ -145,8 +145,12 @@ def _letter_matrix(pres, atom):
     return MatrixForm(pres.variables, pres.module_parities, entries)
 
 
+@lru_cache(maxsize=None)
 def _curvature_powers(variables, parities, delta):
-    """R^0, R^1, ... for R the primed delta, up to the form-degree cap."""
+    """R^0, R^1, ... for R the primed delta, up to the form-degree cap.
+
+    Built once per presentation, keyed by content, and shared: callers only
+    multiply and trace the powers, never change them."""
     R = MatrixForm.from_polys(variables, parities, delta).prime()
     powers = [MatrixForm.identity(variables, parities)]
     for _ in range(len(variables)):
@@ -154,7 +158,7 @@ def _curvature_powers(variables, parities, delta):
         if nxt.is_zero():
             break
         powers.append(nxt)
-    return powers
+    return tuple(powers)
 
 
 def _compositions(total, slots):

@@ -26,7 +26,7 @@ from itertools import combinations
 from operator import add
 
 from .mfcat import MatrixFactorization
-from .polyring import Poly
+from .polyring import Poly, _exact
 
 
 class ChainError(ValueError):
@@ -39,15 +39,6 @@ def _zero_mono(nv):
 
 def _mono_add(a, b):
     return tuple(map(add, a, b))
-
-
-def _exact(c):
-    """A coefficient in its one stored form: an int when it is integral,
-    else a Fraction.  Applied where coefficients enter a table or a chain."""
-    if type(c) is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
 
 
 # -- algebra presentations -----------------------------------------------------

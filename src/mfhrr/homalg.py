@@ -72,22 +72,33 @@ def homology_dims(C: Z2Complex, ideal=()):
     """(dim H0, dim H1, provenance record) of C tensored with R/(ideal).
 
     H0 = {v : d0 v in (ideal) C1} / (im d1 + (ideal) C0), and H1 likewise;
-    with no ideal these are ker d0 / im d1 and ker d1 / im d0.  Each column
+    with no ideal these are ker d0 / im d1 and ker d1 / im d0.  Each half is
+    computed by _homology_half, cached by content: a shifted complex, or
+    K(b, a) after K(a, b), gets the same two halves swapped.  Each column
     of d1 is lifted into the kernel of d0 and each column of d0 into the
     kernel of d1, and every lift is verified, so dimensions come back only
-    for a complex modulo the ideal: if d0 d1 or d1 d0 is not in it this
-    raises NonContainmentError (or InfiniteDimensionError, when H0 is
-    already infinite).
+    for a complex modulo the ideal, and d^2 = 0 is proved once for each
+    distinct half: if d0 d1 or d1 d0 is not in the ideal this raises
+    NonContainmentError (or InfiniteDimensionError, when H0 is already
+    infinite), and errors are not cached.
     """
-    ker0 = _kernel_mod(C.d0, ideal, C.vars)
-    ker1 = _kernel_mod(C.d1, ideal, C.vars)
-    h0 = subquotient_dim(ker0, _columns(C.d1) + _ideal_multiples(ideal, C.rank0, C.vars))
-    h1 = subquotient_dim(ker1, _columns(C.d0) + _ideal_multiples(ideal, C.rank1, C.vars))
+    h0, k0 = _homology_half(C.vars, C.d0, C.d1, tuple(ideal), C.rank0)
+    h1, k1 = _homology_half(C.vars, C.d1, C.d0, tuple(ideal), C.rank1)
     prov = {
         "complex_dims": [C.rank0, C.rank1],
-        "kernel_generators": [len(ker0), len(ker1)],
+        "kernel_generators": [k0, k1],
     }
     return h0, h1, prov
+
+
+@lru_cache(maxsize=None)
+def _homology_half(variables, d_out, d_in, ideal, source_rank):
+    """(dim, kernel generator count) of {v : d_out v in (ideal)} modulo
+    im d_in + (ideal), on a source of the given rank."""
+    ker = _kernel_mod(d_out, ideal, variables)
+    im = _columns(d_in) + _ideal_multiples(ideal, source_rank, variables)
+    dim = subquotient_dim(ker, im)
+    return dim, len(ker)
 
 
 @lru_cache(maxsize=None)

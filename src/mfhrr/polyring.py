@@ -39,6 +39,17 @@ def _coerce(c) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(c).__name__}")
 
 
+def _exact(c):
+    """A coefficient in its one stored form outside Poly: an int when it is
+    integral, else a Fraction.  The chain and Groebner engines apply it where
+    coefficients enter a table, a chain or a vector."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def degrevlex_key(mono: Monomial):
     """Sort key under which larger means bigger in degrevlex order."""
     return (sum(mono), tuple(-e for e in reversed(mono)))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -211,6 +212,42 @@ def test_corrupted_graph_basis_is_caught(monkeypatch):
         syzygies([P("x"), P("y")])
     with pytest.raises(VerificationError):
         GraphBasis([P("x^2"), P("x*y + y^2")]).cofactors(P("y^3"))
+
+
+# -- stored coefficients ------------------------------------------------------------
+
+def _assert_stored(vec):
+    for c in vec.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), c
+
+
+def _random_poly(rng, variables):
+    coeffs = [1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2)]
+    terms = {tuple(rng.randrange(3) for _ in variables): rng.choice(coeffs)
+             for _ in range(rng.randrange(1, 4))}
+    return Poly(variables, terms)
+
+
+def test_stored_coefficients_are_int_or_proper_fraction():
+    # (2x - y, y^2): the reduced basis is {y^2, x - y/2}
+    gb = buchberger([P("2*x - y"), P("y^2")])
+    assert {t: c for e in gb.elements for t, c in e.items()} == {
+        (0, (0, 2)): 1, (0, (1, 0)): 1, (0, (0, 1)): Fraction(-1, 2)}
+    rng = random.Random(2024)
+    for trial in range(40):
+        rank = 1 + trial % 2
+        gens = [tuple(_random_poly(rng, XY) for _ in range(rank))
+                for _ in range(rng.randrange(1, 4))]
+        if rank == 1:
+            gens = [g[0] for g in gens]
+        gb = buchberger(gens)
+        graph = GraphBasis(gens)
+        for basis in (gb.basis, graph.basis):
+            for e, lead in zip(basis.elems, basis.leads):
+                _assert_stored(e)
+                assert e[lead] == 1
+        target = _random_poly(rng, XY) if rank == 1 else (_random_poly(rng, XY),) * 2
+        _assert_stored(groebner._reduce_full(groebner._to_vec(target, rank), gb.basis))
 
 
 # -- zero dimensionality ----------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from mfhrr import hkrtrace
 from mfhrr.hkrtrace import (
     ChernForm,
     MatrixForm,
@@ -147,6 +148,17 @@ def test_curved_polynomial_algebra_pairs_with_opposite_twist():
         u = UChain.from_chain(c, 3)
         lhs = tr_nabla(mixed_differential(u), order=3)
         assert lhs == tr_nabla(u, order=3).twist_diff(-f)
+
+
+def test_curvature_powers_built_once_per_presentation():
+    hkrtrace._curvature_powers.cache_clear()
+    rng = random.Random(7)
+    for K in (kmf(X, "x", "x"), kmf(XY, "x", "y"), kmf(XY, "x", "y")):
+        pres = endomorphism_presentation(K, normalization="scalar")
+        for _ in range(10):
+            tr_nabla(random_chain(pres, rng, max_len=2, max_exp=1, nterms=2), order=3)
+    # two distinct (variables, parities, delta): the twin presentation reuses
+    assert hkrtrace._curvature_powers.cache_info().misses == 2
 
 
 def test_trace_of_identity_word_vanishes_in_one_variable(k_x2):

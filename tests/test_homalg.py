@@ -8,12 +8,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from mfhrr import groebner
 from mfhrr.groebner import (
     InfiniteDimensionError,
     IsolatedSingularityError,
     NonContainmentError,
 )
 from mfhrr.homalg import (
+    _homology_half,
     euler_chi,
     ext_dims,
     ext_dims_truncated,
@@ -358,3 +360,25 @@ def test_three_routes_agree_on_branch_curves(case):
         assert r.chi == h0 - h1
         assert hrr_check(A, B).chi_residue == r.chi
     assert euler_chi(P, Q) == (-1) ** n * euler_chi(Q, P)
+
+
+def test_complementary_split_reuses_both_halves(monkeypatch):
+    # K(a_T^c, a_T) is K(a_T, a_T^c)[1]: chi(P_S, P_T^c) needs the two
+    # halves of chi(P_S, P_T), swapped, and computes neither again
+    d4 = ["y", "(x - y)", "(x + y)"]
+    P_S, P_T, P_Tc = (_split(d4, m, XY) for m in (0b001, 0b010, 0b101))
+    _homology_half.cache_clear()
+    first = ext_dims(P_S, P_T)
+    calls = []
+    real = groebner._buchberger_raw
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_buchberger_raw", counted)
+    second = ext_dims(P_S, P_Tc)
+    assert calls == []
+    kernels = first.provenance["kernel_generators"]
+    assert second.provenance["kernel_generators"] == kernels[::-1]
+    assert (second.dim_ext0, second.dim_ext1) == (first.dim_ext1, first.dim_ext0)

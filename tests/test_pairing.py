@@ -11,7 +11,7 @@ from mfhrr.cli import main
 from mfhrr.groebner import ENV_MAX_SPAIRS, IsolatedSingularityError, check_isolated
 from mfhrr.hkrtrace import chern_form, gamma_twist
 from mfhrr.hochschild import ChainError
-from mfhrr.homalg import euler_chi
+from mfhrr.homalg import _homology_half, euler_chi, is_koszul_regular
 from mfhrr.mfcat import (MFValidationError, direct_sum_mf, dual_mf, koszul_mf,
                          shift_mf, tensor_mf)
 from mfhrr.pairing import (EPSILON_TABLE, calibrate_sign, canonical_pairing_u0,
@@ -292,6 +292,9 @@ def test_non_isolated_entry_rejected_run_continues():
 
 
 def test_spair_budget_fails_entries_not_the_run(monkeypatch):
+    # earlier tests cached the corpus's Groebner work; start from nothing
+    for cached in (check_isolated, is_koszul_regular, _homology_half):
+        cached.cache_clear()
     monkeypatch.setenv(ENV_MAX_SPAIRS, "20")
     rep = run_corpus(default_corpus(), suites=False)
     assert len(rep["entries"]) == len(default_corpus())
