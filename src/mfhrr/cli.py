@@ -158,7 +158,7 @@ def _cmd_ext(args):
 
 def _cmd_chern(args):
     P = _read_mf(args.mf)
-    form = chern_form(P, order=args.utrunc)
+    form = chern_form(P)
     report = {"f": str(P.f), "vars": list(P.vars),
               "ranks": [P.rank0, P.rank1], "form": form.jsonable()}
     return 0, emit_report(report, args.format)
@@ -200,15 +200,14 @@ def _cmd_corpus(args):
     entries = _read_corpus(args.corpus)
     report = run_corpus(entries, seed=args.seed, utrunc=args.utrunc,
                         suite_count=args.count, jmax=args.jmax,
-                        order=args.utrunc, timings=args.timings)
+                        timings=args.timings)
     code = 0 if report["summary"]["pass"] else 1
     return code, emit_report(report, args.format)
 
 
 def _cmd_hoch_verify(args):
     rows = identity_suites(seed=args.seed, count=args.count, utrunc=args.utrunc,
-                           jmax=args.jmax, order=args.utrunc,
-                           timings=args.timings)
+                           jmax=args.jmax, timings=args.timings)
     ok = all(s["pass"] for s in rows.values())
     report = {"suites": rows, "summary": {"pass": ok, "seed": args.seed}}
     return (0 if ok else 1), emit_report(report, args.format)
@@ -261,8 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("chern", _cmd_chern, "Chern character form of a factorization")
     p.add_argument("--mf", required=True, help="factorization JSON file")
-    p.add_argument("--utrunc", type=_positive, default=4, metavar="U",
-                   help="u-series truncation order (default 4)")
 
     p = add("residue", _cmd_residue, "Grothendieck residue over a Jacobian ideal")
     p.add_argument("--f", required=True, help="potential")

@@ -11,9 +11,11 @@ twisted by the row-plus-column parity, and str is the supertrace.  Each R or
 primed letter carries form degree one, so the J-sum stops at the number of
 variables and everything is exact over the rationals.
 
-The same engine gives Chern forms (the value on 1[]) and the degree twist
-gamma.  No Todd class is computed: on affine space with an isolated
-critical point, the only setting here, the twisted Todd class is 1.
+The same engine gives Chern forms (the value on 1[]).  A Chern form is a
+single even form with no u-dependence, so the degree twist gamma fixes it
+and is not computed.  Nor is a Todd class: on affine space with an
+isolated critical point, the only setting here, the twisted Todd class
+is 1.
 Chains tagged with Cech indices keep their tags; the residue of the
 fully-tagged top component is what the local duality tests consume.
 """
@@ -24,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .hochschild import Chain, ChainError, UChain
-from .polyring import DEFAULT_SERIES_ORDER, DiffForm, FormSeries, Poly
+from .polyring import DiffForm, FormSeries, Poly
 
 
 # -- form-valued matrices --------------------------------------------------
@@ -238,7 +240,7 @@ def _trace_components(chain, order):
     return out
 
 
-def tr_nabla(chain, *, order=DEFAULT_SERIES_ORDER) -> FormSeries:
+def tr_nabla(chain, *, order) -> FormSeries:
     """The supertrace of a chain or u-chain, as a form series in u.
 
     Chains carrying Cech tags have componentwise traces; call tr_nabla_cech
@@ -251,7 +253,7 @@ def tr_nabla(chain, *, order=DEFAULT_SERIES_ORDER) -> FormSeries:
     return comps.get(frozenset(), FormSeries.zero(chain.pres.variables, order))
 
 
-def tr_nabla_cech(chain, *, order=DEFAULT_SERIES_ORDER) -> dict:
+def tr_nabla_cech(chain, *, order) -> dict:
     """Componentwise trace of a Cech-tagged chain: alpha set -> form series."""
     return _trace_components(chain, order)
 
@@ -287,82 +289,54 @@ def cech_residue(components, full=None) -> dict:
 class ChernForm:
     """Trace of the bare identity word: the Chern character form of P.
 
-    Only even form degrees appear (the supertrace of an odd endomorphism
+    A single differential form: the trace of 1[] has no u-dependence, and
+    only even form degrees appear (the supertrace of an odd endomorphism
     vanishes), which the constructor enforces.
     """
 
-    __slots__ = ("f", "series")
+    __slots__ = ("f", "form")
 
-    def __init__(self, f, series):
-        for k in range(series.order):
-            for idx in series.coeffs[k].comps:
-                if len(idx) % 2:
-                    raise ValueError(
-                        f"odd-degree component dx{idx} in a Chern form")
+    def __init__(self, f, form):
+        for idx in form.comps:
+            if len(idx) % 2:
+                raise ValueError(
+                    f"odd-degree component dx{idx} in a Chern form")
         self.f = f
-        self.series = series
+        self.form = form
 
     def top(self) -> Poly:
-        """Coefficient of dx_0 ... dx_{n-1} at u^0."""
-        return self.series.u0().top()
+        """Coefficient of dx_0 ... dx_{n-1}."""
+        return self.form.top()
 
     def __eq__(self, other):
         if not isinstance(other, ChernForm):
             return NotImplemented
-        return self.f == other.f and self.series == other.series
+        return self.f == other.f and self.form == other.form
 
     def jsonable(self) -> dict:
-        out = {}
-        for k in range(self.series.order):
-            form = self.series.coeffs[k]
-            if form.is_zero():
-                continue
-            by_degree = {}
-            for idx in sorted(form.comps, key=lambda t: (len(t), t)):
-                names = [self.series.vars[i] for i in idx]
-                by_degree.setdefault(str(len(idx)), []).append(
-                    [names, str(form.comps[idx])])
-            out[f"u^{k}"] = by_degree
-        return out
+        """{"u^0": {degree: [[dx names, coefficient], ...]}}, or {} for 0."""
+        if self.form.is_zero():
+            return {}
+        by_degree = {}
+        for idx in sorted(self.form.comps, key=lambda t: (len(t), t)):
+            names = [self.form.vars[i] for i in idx]
+            by_degree.setdefault(str(len(idx)), []).append(
+                [names, str(self.form.comps[idx])])
+        return {"u^0": by_degree}
 
     def __repr__(self):
-        return f"ChernForm({self.series.u0()})"
+        return f"ChernForm({self.form})"
 
 
 @lru_cache(maxsize=None)
-def chern_form(P, *, order=DEFAULT_SERIES_ORDER) -> ChernForm:
+def chern_form(P) -> ChernForm:
     """sum_J (-1)^J str(R^J)/J! for the primed differential of P: the trace
     of the identity word 1[] of End(P).
 
-    Built once per (P, order), P keyed by content, and shared."""
+    Built once per P, keyed by content, and shared."""
     total = DiffForm.zero(P.vars)
     for J, power in enumerate(_curvature_powers(P.vars, P.parities(), P.delta_full())):
         tr = power.supertrace()
         if not tr.is_zero():
             total = total + tr.scale(Fraction((-1) ** J, math.factorial(J)))
-    return ChernForm(P.f, FormSeries.of_form(total, order))
-
-
-# -- the degree twist ---------------------------------------------------------
-
-
-def gamma_twist(series: FormSeries) -> FormSeries:
-    """Sign twist exchanging the complexes twisted by f and by -f.
-
-    Multiplies the form-degree-j coefficient of u^k by (-1)^(j+k).  The
-    u-power must enter the sign: the -df wedge and the u d parts of the
-    twisted differential change form degree the same way but u-degree
-    differently, and flipping on form degree alone would only intertwine the
-    df halves.
-
-    On Chern forms it is the dual: chern_form(dual_mf(P)).series ==
-    gamma_twist(chern_form(P).series), as full series.  The pairing takes
-    P's dual top from this identity instead of building dual_mf(P).
-    """
-    out = []
-    for k in range(series.order):
-        form = series.coeffs[k]
-        comps = {idx: (p if (len(idx) + k) % 2 == 0 else -p)
-                 for idx, p in form.comps.items()}
-        out.append(DiffForm(series.vars, comps))
-    return FormSeries(series.vars, out, series.order)
+    return ChernForm(P.f, total)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .groebner import GroebnerLimitError, VerificationError, check_isolated
-from .hkrtrace import cech_residue, chern_form, gamma_twist, tr_nabla, tr_nabla_cech
+from .hkrtrace import cech_residue, chern_form, tr_nabla, tr_nabla_cech
 from .hochschild import (
     B_op,
     ChainError,
@@ -64,12 +64,14 @@ def epsilon_formula(n: int) -> int:
 def _raw_residue_pairing(P: MatrixFactorization, Q: MatrixFactorization) -> Fraction:
     """Residue over the Jacobian ideal of top(Q) * top(P dual).
 
-    P's dual top comes from gamma_twist on P's own Chern form; the cover,
-    its det and both Chern forms are the cached ones of f, P and Q.
+    Only reached in even arity, where the top of P's dual is P's own top:
+    ch(P dual) = gamma(ch(P)), and gamma fixes a form of even degree at u^0.
+    The cover, its det and both Chern forms are the cached ones of f, P
+    and Q.
     """
     cover = jacobian_cover(P.f)
-    dual_top = gamma_twist(chern_form(P).series).u0().top()
-    return res_monomial(chern_form(Q).top() * dual_top * cover.det, cover.exponents)
+    return res_monomial(chern_form(Q).top() * chern_form(P).top() * cover.det,
+                        cover.exponents)
 
 
 def _calibration_instance(n: int) -> MatrixFactorization:
@@ -116,7 +118,8 @@ def calibrate_sign(n: int) -> int:
 def canonical_pairing_u0(P: MatrixFactorization, Q: MatrixFactorization) -> Fraction:
     """epsilon_n times the residue of the product of Chern-form tops.
 
-    Q contributes its own Chern form, P enters through its dual.  In odd
+    Q contributes its own Chern form, P its dual's, whose top equals P's
+    own in the even arities where the residue is taken.  In odd
     arity every top coefficient vanishes and the value is 0 (the potential
     is still validated so garbage input does not silently pair to zero).
     """
@@ -417,7 +420,7 @@ def duality_suite(*, count=50, seed=0) -> dict:
             "seed": seed}
 
 
-def identity_suites(*, seed=0, count=40, utrunc=4, jmax=2, order=4,
+def identity_suites(*, seed=0, count=40, utrunc=4, jmax=2,
                     timings=False) -> dict:
     """All chain-level suites with one master seed; the per-suite seeds are
     offsets so reruns with the same seed are reproducible term by term."""
@@ -426,9 +429,9 @@ def identity_suites(*, seed=0, count=40, utrunc=4, jmax=2, order=4,
         "shuffle": lambda: shuffle_suite(count=max(10, count // 2), seed=seed + 1,
                                          utrunc=utrunc),
         "trace_chain_map": lambda: trace_chain_map_suite(count=count, seed=seed + 2),
-        "phi_eta": lambda: phi_eta_suite(jmax=jmax, order=order),
+        "phi_eta": lambda: phi_eta_suite(jmax=jmax, order=utrunc),
         "local_residue": lambda: local_residue_suite(jmax=jmax,
-                                                     order=min(order, 3)),
+                                                     order=min(utrunc, 3)),
         "duality": lambda: duality_suite(count=count, seed=seed + 3),
     }
     out = {}
@@ -440,7 +443,7 @@ def identity_suites(*, seed=0, count=40, utrunc=4, jmax=2, order=4,
     return out
 
 
-def run_corpus(entries, *, seed=0, utrunc=4, suite_count=40, jmax=2, order=4,
+def run_corpus(entries, *, seed=0, utrunc=4, suite_count=40, jmax=2,
                suites=True, only_checks=None, timings=False) -> dict:
     """Comparison run over corpus entries plus the identity suites.
 
@@ -457,7 +460,7 @@ def run_corpus(entries, *, seed=0, utrunc=4, suite_count=40, jmax=2, order=4,
     report = {"entries": rows}
     if suites:
         suite_rows = identity_suites(seed=seed, count=suite_count, utrunc=utrunc,
-                                     jmax=jmax, order=order, timings=timings)
+                                     jmax=jmax, timings=timings)
         ok = ok and all(s["pass"] for s in suite_rows.values())
         report["suites"] = suite_rows
     report["summary"] = {

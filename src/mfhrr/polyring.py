@@ -510,24 +510,18 @@ class DiffForm:
     __repr__ = __str__
 
 
-DEFAULT_SERIES_ORDER = 8
-
-
 class FormSeries:
     """Truncated power series in an even formal variable u with DiffForm
     coefficients.  Stores coefficients of u^0 .. u^(order-1)."""
 
     __slots__ = ("vars", "order", "coeffs")
 
-    def __init__(self, variables: Sequence[str], coeffs: Iterable[DiffForm] | None = None,
-                 order: int = DEFAULT_SERIES_ORDER):
+    def __init__(self, variables: Sequence[str], coeffs: Iterable[DiffForm], order: int):
         if order < 1:
             raise ValueError("truncation order must be at least 1")
         self.vars = tuple(variables)
         self.order = order
-        got = list(coeffs) if coeffs is not None else []
-        if len(got) > order:
-            got = got[:order]
+        got = list(coeffs)[:order]
         while len(got) < order:
             got.append(DiffForm.zero(self.vars))
         for c in got:
@@ -536,50 +530,8 @@ class FormSeries:
         self.coeffs = got
 
     @classmethod
-    def zero(cls, variables: Sequence[str], order: int = DEFAULT_SERIES_ORDER) -> "FormSeries":
+    def zero(cls, variables: Sequence[str], order: int) -> "FormSeries":
         return cls(variables, [], order)
-
-    @classmethod
-    def of_form(cls, form: DiffForm, order: int = DEFAULT_SERIES_ORDER) -> "FormSeries":
-        return cls(form.vars, [form], order)
-
-    def _match(self, other: "FormSeries") -> int:
-        if self.vars != other.vars:
-            raise ValueError("variable mismatch")
-        return min(self.order, other.order)
-
-    def __add__(self, other: "FormSeries") -> "FormSeries":
-        n = self._match(other)
-        return FormSeries(self.vars, [self.coeffs[k] + other.coeffs[k] for k in range(n)], n)
-
-    def __neg__(self) -> "FormSeries":
-        return FormSeries(self.vars, [-c for c in self.coeffs], self.order)
-
-    def __sub__(self, other: "FormSeries") -> "FormSeries":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, FormSeries):
-            n = self._match(other)
-            out = [DiffForm.zero(self.vars) for _ in range(n)]
-            for i in range(n):
-                if self.coeffs[i].is_zero():
-                    continue
-                for j in range(n - i):
-                    if other.coeffs[j].is_zero():
-                        continue
-                    out[i + j] = out[i + j] + self.coeffs[i].wedge(other.coeffs[j])
-            return FormSeries(self.vars, out, n)
-        return FormSeries(self.vars, [c.scale(other) for c in self.coeffs], self.order)
-
-    __rmul__ = __mul__
-
-    def shift(self, k: int) -> "FormSeries":
-        """Multiply by u^k."""
-        if k < 0:
-            raise ValueError("negative u-powers are not stored")
-        out = [DiffForm.zero(self.vars)] * k + self.coeffs[: max(self.order - k, 0)]
-        return FormSeries(self.vars, out, self.order)
 
     def twist_diff(self, f: Poly) -> "FormSeries":
         """Apply the twisted differential -df ^ (.) + u d(.)."""
@@ -591,9 +543,6 @@ class FormSeries:
                 term = term + self.coeffs[k - 1].d()
             out.append(term)
         return FormSeries(self.vars, out, self.order)
-
-    def u0(self) -> DiffForm:
-        return self.coeffs[0]
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)

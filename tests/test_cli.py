@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -125,6 +126,22 @@ def test_chern_command(capsys, mf_file):
     assert json.loads(out)["form"] == {"u^0": {"2": [[["x", "y"], "-1"]]}}
 
 
+@pytest.mark.parametrize("koszul,want", [
+    (["--a", "x", "--b", "x"],
+     '{"f":"x^2","form":{},"ranks":[1,1],"vars":["x"]}\n'),
+    (["--a", "x,z", "--b", "y,w", "--vars", "x,y,z,w"],
+     '{"f":"x*y + z*w","form":{"u^0":{"4":[[["x","y","z","w"],"1"]]}},'
+     '"ranks":[2,2],"vars":["x","y","z","w"]}\n'),
+], ids=["one_variable", "two_hyperbolic_planes"])
+def test_chern_command_bytes(tmp_path, capsys, koszul, want):
+    path = tmp_path / "mf.json"
+    assert main(["koszul", *koszul]) == 0
+    path.write_text(capsys.readouterr().out)
+    code, out, _ = run_cli(capsys, "chern", "--mf", str(path))
+    assert code == 0
+    assert out == want
+
+
 def test_pair_command(capsys, mf_file):
     code, out, _ = run_cli(capsys, "pair", "--p", mf_file)
     assert code == 0
@@ -177,6 +194,18 @@ def test_usage_errors_exit_two(capsys):
         main(["residue", "--f", "x*y"])  # missing --numerator
     assert exc.value.code == 2
     capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["chern", "--mf", "F", "--utrunc", "3"])  # chern has no u-order
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_corpus_seed_11_stdout_is_pinned(capsys):
+    # the byte-identity invariant: refactors must leave this report unchanged
+    code, out, _ = run_cli(capsys, "corpus", "--seed", "11")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "565d687b43c5673657c443ab00f41cf5272e4f57504fdd396fff125fbe13dda6")
 
 
 def test_console_entry_point_determinism():

@@ -9,7 +9,7 @@ import pytest
 from mfhrr import groebner, pairing
 from mfhrr.cli import main
 from mfhrr.groebner import ENV_MAX_SPAIRS, IsolatedSingularityError, check_isolated
-from mfhrr.hkrtrace import chern_form, gamma_twist
+from mfhrr.hkrtrace import chern_form
 from mfhrr.hochschild import ChainError
 from mfhrr.homalg import _homology_half, euler_chi, is_koszul_regular
 from mfhrr.mfcat import (MFValidationError, direct_sum_mf, dual_mf, koszul_mf,
@@ -219,7 +219,9 @@ def test_nonzero_tables_corpus_file(nonzero_tables, capsys):
         assert got == want, entry["name"]
 
 
-def test_gamma_twist_dualizes_chern_forms(nonzero_tables):
+def test_dual_has_the_same_chern_form(nonzero_tables):
+    # gamma fixes an even form at u^0, so ch(P dual) = gamma(ch(P)) = ch(P):
+    # the identity that lets the pairing read P's dual top from P's own
     XYZ, XYZW = ("x", "y", "z"), ("x", "y", "z", "w")
     quadrics = [kmf(XYZ, ["x", "y", "z^2"], ["x", "y^2", "z^2"]),
                 kmf(XYZ, ["y^2", "z", "x"], ["y", "z^3", "x"]),
@@ -228,9 +230,9 @@ def test_gamma_twist_dualizes_chern_forms(nonzero_tables):
     mfs = [P for table, _ in nonzero_tables.values() for P in table] + quadrics
     nonzero = 0
     for P in mfs:
-        ch = chern_form(P).series
-        assert chern_form(dual_mf(P)).series == gamma_twist(ch), P
-        nonzero += not ch.u0().top().is_zero()
+        ch = chern_form(P).form
+        assert chern_form(dual_mf(P)).form == ch, P
+        nonzero += not ch.top().is_zero()
     # every even-arity factorization here has a nonzero top
     assert nonzero == 16
 
@@ -267,7 +269,7 @@ def test_empty_corpus():
 
 
 def test_default_corpus_passes():
-    rep = run_corpus(default_corpus(), seed=7, suite_count=12, jmax=1, order=3)
+    rep = run_corpus(default_corpus(), seed=7, suite_count=12, jmax=1, utrunc=3)
     assert rep["summary"]["pass"] is True
     names = [e["name"] for e in rep["entries"]]
     assert names[:5] == ["x^2", "x^3", "x^4", "x^5", "x^6"]
@@ -313,7 +315,7 @@ def test_mismatched_entry_potential_rejected():
 
 
 def test_corpus_report_deterministic():
-    kw = dict(seed=3, suite_count=10, jmax=1, order=3)
+    kw = dict(seed=3, suite_count=10, jmax=1, utrunc=3)
     a = json.dumps(run_corpus(default_corpus(), **kw), sort_keys=True)
     b = json.dumps(run_corpus(default_corpus(), **kw), sort_keys=True)
     assert a == b
@@ -321,7 +323,7 @@ def test_corpus_report_deterministic():
 
 
 def test_suite_counts_and_seeds():
-    rows = identity_suites(seed=11, count=8, utrunc=3, jmax=0, order=3)
+    rows = identity_suites(seed=11, count=8, utrunc=3, jmax=0)
     assert rows["mixed_axioms"]["chains"] >= 8
     assert rows["mixed_axioms"]["seed"] == 11
     assert rows["duality"]["seed"] == 14

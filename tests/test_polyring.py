@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from mfhrr.groebner import buchberger, syzygies
 from mfhrr.polyring import (
-    DEFAULT_SERIES_ORDER,
     DiffForm,
     FormSeries,
     LaurentError,
@@ -192,18 +191,6 @@ def test_top_component():
 
 # -- form series --------------------------------------------------------------
 
-def test_series_default_order():
-    s = FormSeries.zero(XY)
-    assert s.order == DEFAULT_SERIES_ORDER == 8
-
-
-def test_series_mul_truncation():
-    one = FormSeries.of_form(DiffForm.from_poly(P("1")), order=3)
-    u = one.shift(1)
-    assert not (u * u).is_zero()
-    assert (u * u * u).is_zero()
-
-
 def test_twist_diff_squares_to_zero():
     f = parse_poly("x^2*y + z^3", XYZ)
     w = FormSeries(XYZ, [DiffForm.from_poly(parse_poly("x*z", XYZ)),
@@ -213,7 +200,7 @@ def test_twist_diff_squares_to_zero():
 
 def test_twist_diff_components():
     f = P("x*y")
-    w = FormSeries.of_form(DiffForm.from_poly(P("x")), order=4)
+    w = FormSeries(XY, [DiffForm.from_poly(P("x"))], order=4)
     t = w.twist_diff(f)
     # u^0: -df * x = -(y dx + x dy) x ; u^1: d(x) = dx
     assert t.coeffs[0] == DiffForm(XY, {(0,): P("-x*y")}) + DiffForm(XY, {(1,): P("-x^2")})
