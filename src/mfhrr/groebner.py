@@ -1,9 +1,10 @@
 """Groebner bases for ideals and submodules of free modules over Q[x].
 
 The engine works on sparse vectors: dicts mapping (component, exponent
-tuple) to a nonzero rational, stored as an int when it is integral and as
-a Fraction (denominator > 1) otherwise, so integral work runs on machine
-ints.  Every working basis element is stored monic, so reduction and
+tuple) to a nonzero rational in the package's one stored form (an int when
+it is integral, a Fraction with denominator > 1 otherwise), the form Poly
+already holds, so polynomials enter as they are and integral work runs on
+machine ints.  Every working basis element is stored monic, so reduction and
 S-vectors multiply and subtract only; the one division is the monic step.
 Module terms are compared position-over-term: lower component wins, ties
 broken by the ring order (degrevlex by default).  Ideals are rank-one
@@ -302,7 +303,7 @@ def _to_vec(g, ncomp) -> dict:
             if any(e < 0 for e in mono):
                 raise LaurentError(f"negative exponent in {p}: the Groebner engine "
                                    "takes ordinary polynomials")
-            vec[(comp, mono)] = _exact(c)
+            vec[(comp, mono)] = c
     return vec
 
 

@@ -263,7 +263,8 @@ def cech_residue(components, full=None) -> dict:
 
     Takes the output of tr_nabla_cech; reads off the coefficient of the
     all-exponents-minus-one monomial in the top form of the component tagged
-    with every Cech index.  Zero residues are dropped.
+    with every Cech index, as stored (an int or a Fraction).  Zero residues
+    are dropped.
     """
     if not components:
         return {}
@@ -277,7 +278,7 @@ def cech_residue(components, full=None) -> dict:
     pole = (-1,) * nv
     out = {}
     for k in range(series.order):
-        c = series.coeffs[k].top().terms.get(pole, Fraction(0))
+        c = series.coeffs[k].top().coefficient(pole)
         if c:
             out[k] = c
     return out

@@ -4,10 +4,11 @@ Chains are finite rational combinations of words a0[a1|...|an].  Each letter
 is a monomial multiple of one element of a fixed constant-matrix basis for
 the algebra (index 0 is the identity), so every operator can be evaluated
 exactly from a multiplication table and a differential table.  Every stored
-coefficient is an int when it is integral and a Fraction (denominator > 1)
-when it is not, never a float, so the operators run on machine ints on
-integral words.  The same
-engine drives the plain polynomial algebra with declared curvature (the
+coefficient, in the tables and in the chains, is in polyring._exact's form,
+the one Poly holds too: an int when it is integral, a Fraction (denominator
+> 1) when it is not, never a float.  So the operators run on machine ints on
+integral words, and the tables are built from int literals.  The same engine
+drives the plain polynomial algebra with declared curvature (the
 classical mixed complex) and endomorphism algebras of matrix factorizations,
 optionally with inverted variables and exterior Cech symbols for the local
 cohomology model.
@@ -135,11 +136,10 @@ def _basis_layout(n):
     mats = []
 
     def unit(r, s):
-        return tuple(tuple(Fraction(1) if (i, j) == (r, s) else Fraction(0)
-                           for j in range(n)) for i in range(n))
+        return tuple(tuple(int((i, j) == (r, s)) for j in range(n))
+                     for i in range(n))
 
-    ident = tuple(tuple(Fraction(1) if i == j else Fraction(0)
-                        for j in range(n)) for i in range(n))
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     mats.append(ident)
     for r in range(1, n):
         index_of[(r, r)] = len(mats)
@@ -200,9 +200,9 @@ def endomorphism_presentation(P: MatrixFactorization, *, normalization="scalar",
         for s in range(n):
             if r != s:
                 display[index_of[(r, s)]] = f"E{r}{s}"
-    names["1"] = ((0, Fraction(1)),)
+    names["1"] = ((0, 1),)
     for idx in range(1, nb):
-        names[display[idx]] = ((idx, Fraction(1)),)
+        names[display[idx]] = ((idx, 1),)
     if extra_names:
         for name, matrix in extra_names.items():
             expansion = tuple(_expand_const(matrix, layout))
@@ -226,7 +226,7 @@ def _accumulate_poly(acc, p, pos, scale):
         return
     for mono, c in p.terms.items():
         key = (mono, pos)
-        acc[key] = acc.get(key, Fraction(0)) + c * scale
+        acc[key] = acc.get(key, 0) + c * scale
         if not acc[key]:
             del acc[key]
 
@@ -237,7 +237,7 @@ def _poly_matrix_expansion(acc, n, layout):
         by_mono.setdefault(mono, {})[(r, s)] = c
     out = []
     for mono in sorted(by_mono):
-        matrix = tuple(tuple(by_mono[mono].get((r, s), Fraction(0))
+        matrix = tuple(tuple(by_mono[mono].get((r, s), 0)
                              for s in range(n)) for r in range(n))
         for idx, c in _expand_const(matrix, layout):
             out.append((mono, idx, c))
@@ -247,15 +247,15 @@ def _poly_matrix_expansion(acc, n, layout):
 def polynomial_presentation(variables, curvature=None, *, laurent=(), label=None):
     """The polynomial ring itself (rank 1|0, zero differential), optionally
     with a declared curvature so that b0 acts."""
-    one = ((Fraction(1),),)
+    one = ((1,),)
     curv = []
     if curvature is not None:
         if curvature.vars != tuple(variables):
             raise ChainError("curvature over a different variable list")
         curv = [(mono, 0, c) for mono, c in sorted(curvature.terms.items())]
     return AlgebraPresentation(
-        variables, (0,), (one,), (0,), {(0, 0): ((0, Fraction(1)),)}, {0: ()},
-        curv, "scalar", {"1": ((0, Fraction(1)),)}, ("1",), laurent,
+        variables, (0,), (one,), (0,), {(0, 0): ((0, 1),)}, {0: ()},
+        curv, "scalar", {"1": ((0, 1),)}, ("1",), laurent,
         label or f"Q[{','.join(variables)}]")
 
 
@@ -270,7 +270,7 @@ def koszul_generator_matrices(variables):
     N = len(subsets)
 
     def empty():
-        return [[Fraction(0)] * N for _ in range(N)]
+        return [[0] * N for _ in range(N)]
 
     out = {}
     for i in range(n):
@@ -278,11 +278,11 @@ def koszul_generator_matrices(variables):
         for S in subsets:
             if i not in S:
                 sgn = (-1) ** sum(1 for j in S if j < i)
-                wedge[pos[S | {i}]][pos[S]] = Fraction(sgn)
+                wedge[pos[S | {i}]][pos[S]] = sgn
             else:
                 rest = S - {i}
                 sgn = (-1) ** sorted(S).index(i)
-                contract[pos[rest]][pos[S]] = Fraction(sgn)
+                contract[pos[rest]][pos[S]] = sgn
         suffix = str(i + 1) if n > 1 else ""
         out[f"e{suffix}"] = tuple(tuple(row) for row in wedge)
         out[f"e{suffix}*"] = tuple(tuple(row) for row in contract)
@@ -337,7 +337,7 @@ def tensor_presentation(A: AlgebraPresentation, B: AlgebraPresentation):
                     for ka, ca in A.mult[(i1, i2)]:
                         for kb, cb in B.mult[(j1, j2)]:
                             k = pair(ka, kb)
-                            terms[k] = terms.get(k, Fraction(0)) + sgn * ca * cb
+                            terms[k] = terms.get(k, 0) + sgn * ca * cb
                     mult[(p1, pair(i2, j2))] = tuple(
                         (k, c) for k, c in terms.items() if c)
     diff = {}
@@ -352,7 +352,7 @@ def tensor_presentation(A: AlgebraPresentation, B: AlgebraPresentation):
             diff[pair(i, j)] = tuple(rows)
     curvature = [(mono, pair(k, 0), c) for mono, k, c in A.curvature]
     curvature += [(mono, pair(0, k), c) for mono, k, c in B.curvature]
-    names = {"1": ((0, Fraction(1)),)}
+    names = {"1": ((0, 1),)}
     return AlgebraPresentation(
         A.variables, None, None, parity, mult, diff, curvature,
         A.normalization, names, display, A.laurent | B.laurent,
@@ -362,19 +362,16 @@ def tensor_presentation(A: AlgebraPresentation, B: AlgebraPresentation):
 # -- chains ---------------------------------------------------------------------
 
 def _add_term(out, key, coeff):
-    """Accumulate coeff at key; a Fraction that has become integral (a sum
-    or a product of Fractions) is stored as an int."""
-    if not coeff:
-        return
+    """Accumulate coeff at key in _exact's form: a sum or a product of
+    Fractions may be integral, and a float raises TypeError."""
     cur = out.get(key)
     if cur is not None:
         coeff += cur
-        if not coeff:
-            del out[key]
-            return
-    if type(coeff) is Fraction and coeff.denominator == 1:
-        coeff = coeff.numerator
-    out[key] = coeff
+    coeff = _exact(coeff)
+    if coeff:
+        out[key] = coeff
+    elif cur is not None:
+        del out[key]
 
 
 class Chain:
@@ -396,13 +393,11 @@ class Chain:
         module_mode = pres.normalization == "module"
         clean = {}
         for key, coeff in terms.items():
-            if not coeff:
-                continue
             if self._killed(pres, key[1], module_mode):
                 continue
             if module_mode and len(key[1]) > 1:
                 key = (key[0], self._collect(key[1]))
-            _add_term(clean, key, _exact(coeff))
+            _add_term(clean, key, coeff)
         self.pres = pres
         self.terms = clean
 
@@ -685,14 +680,12 @@ def B_op(chain: Chain) -> Chain:
 
 # -- shuffle products -------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _shuffles(sparA, sparB):
+def _interleavings(sparA, sparB):
     """Every (n, m)-shuffle of the letters of A (indices 0..n-1) and of B
     (indices n..n+m-1) as (order, negate): order lists the letter indices
     in output position, negate is the Koszul sign of the interleaving on the
     shifted parities sparA, sparB."""
     n, m = len(sparA), len(sparB)
-    out = []
     for positions in combinations(range(n + m), n):
         posB = [p for p in range(n + m) if p not in positions]
         negate = False
@@ -705,8 +698,13 @@ def _shuffles(sparA, sparB):
             order[pa] = ai
         for bj, pb in enumerate(posB):
             order[pb] = n + bj
-        out.append((tuple(order), negate))
-    return tuple(out)
+        yield tuple(order), negate
+
+
+@lru_cache(maxsize=None)
+def _shuffles(sparA, sparB):
+    """_interleavings(sparA, sparB), built once per pair."""
+    return tuple(_interleavings(sparA, sparB))
 
 
 @lru_cache(maxsize=None)
@@ -714,30 +712,23 @@ def _cyclic_shuffles(sparA, sparB):
     """The terms of the cyclic shuffle as (order, negate), letter indices
     as in _shuffles: a cyclic rotation of each group, then an interleaving
     that keeps A's leading letter ahead of B's, with the Koszul sign of the
-    full permutation on shifted parities."""
+    full permutation on shifted parities.  That sign is the interleaving's
+    (from _interleavings of the rotated parities) times the two rotations';
+    a rotation by p moves spar[:p] past spar[p:]."""
     n1, m1 = len(sparA), len(sparB)
-    spar = sparA + sparB
     out = []
     for p in range(n1):
-        orderA = list(range(p, n1)) + list(range(p))
+        rotA = sparA[p:] + sparA[:p]
+        signA = sum(sparA[:p]) * sum(sparA[p:]) % 2 == 1
         for q in range(m1):
-            orderB = [n1 + i for i in list(range(q, m1)) + list(range(q))]
-            for positions in combinations(range(n1 + m1), n1):
-                order = [None] * (n1 + m1)
-                posB = [t for t in range(n1 + m1) if t not in positions]
-                for i, t in enumerate(positions):
-                    order[t] = orderA[i]
-                for i, t in enumerate(posB):
-                    order[t] = orderB[i]
-                if order.index(0) > order.index(n1):
-                    continue
-                negate = False
-                for i in range(n1 + m1):
-                    for j in range(i + 1, n1 + m1):
-                        if (order[i] > order[j]
-                                and spar[order[i]] and spar[order[j]]):
-                            negate = not negate
-                out.append((tuple(order), negate))
+            rotB = sparB[q:] + sparB[:q]
+            sign = signA ^ (sum(sparB[:q]) * sum(sparB[q:]) % 2 == 1)
+            back = ([(p + i) % n1 for i in range(n1)]
+                    + [n1 + (q + j) % m1 for j in range(m1)])
+            lead_a, lead_b = back.index(0), back.index(n1)
+            for order, negate in _interleavings(rotA, rotB):
+                if order.index(lead_a) < order.index(lead_b):
+                    out.append((tuple([back[i] for i in order]), negate ^ sign))
     return tuple(out)
 
 
@@ -833,10 +824,9 @@ def star_map(source: AlgebraPresentation, target: AlgebraPresentation):
     for idx, mat in enumerate(source.basis):
         par = source.parity[idx]
         starred = tuple(tuple(
-            (Fraction(-1) if (par and not pars[i]) else Fraction(1)) * mat[i][j]
+            (-1 if (par and not pars[i]) else 1) * mat[i][j]
             for i in range(n)) for j in range(n))
-        table[idx] = tuple((k, _exact(c))
-                           for k, c in _expand_const(starred, (n, index_lookup)))
+        table[idx] = tuple(_expand_const(starred, (n, index_lookup)))
     return table
 
 
@@ -1003,7 +993,7 @@ def y_power(j: int) -> Chain:
 def _proportionality(lhs: Chain, rhs: Chain):
     """The scalar c with lhs = c . rhs, or None."""
     if rhs.is_zero():
-        return Fraction(0) if lhs.is_zero() else None
+        return 0 if lhs.is_zero() else None
     if lhs.terms.keys() != rhs.terms.keys():
         return None
     # Fraction division: int / int would give a float
@@ -1087,14 +1077,15 @@ def eta_construct(j: int, order: int) -> UChain:
     return eta
 
 
-def euler_trace(chain: Chain) -> Fraction:
+def euler_trace(chain: Chain) -> int | Fraction:
     """Augmentation-style trace for the local model: words of positive
     length die; a length-zero word contributes its leading letter's action
-    on H0 = Q/(x), i.e. the constant term of the (0,0) matrix entry."""
+    on H0 = Q/(x), i.e. the constant term of the (0,0) matrix entry (an int
+    or a Fraction)."""
     pres = chain.pres
     if pres.basis is None:
         raise ChainError("trace needs a matrix presentation")
-    total = Fraction(0)
+    total = 0
     for (alphas, atoms), coeff in chain.terms.items():
         if alphas or len(atoms) > 1:
             continue

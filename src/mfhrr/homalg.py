@@ -27,7 +27,7 @@ from .groebner import (
     syzygies,
 )
 from .mfcat import MatrixFactorization, MFValidationError, Z2Complex, hom_complex
-from .polyring import Poly
+from .polyring import Poly, _exact
 
 
 @dataclass
@@ -213,7 +213,7 @@ def _matrix_columns_truncated(matrix, variables, monos):
             for i, p in entries:
                 for mono, c in p.terms.items():
                     key = (i, tuple(a + b for a, b in zip(mono, m)))
-                    col[key] = col.get(key, Fraction(0)) + c
+                    col[key] = col.get(key, 0) + c
                     if not col[key]:
                         del col[key]
             cols.append(col)
@@ -230,11 +230,11 @@ def _eliminate(columns, coord_key):
             piv = pivots.get(lead)
             if piv is None:
                 lc = col[lead]
-                pivots[lead] = {k: v / lc for k, v in col.items()}
+                pivots[lead] = {k: _exact(Fraction(v, lc)) for k, v in col.items()}
                 break
             c = col[lead]
             for k, v in piv.items():
-                w = col.get(k, Fraction(0)) - c * v
+                w = col.get(k, 0) - c * v
                 if w:
                     col[k] = w
                 else:

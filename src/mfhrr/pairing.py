@@ -61,7 +61,7 @@ def epsilon_formula(n: int) -> int:
     return -1 if (n * (n + 1) // 2) % 2 else 1
 
 
-def _raw_residue_pairing(P: MatrixFactorization, Q: MatrixFactorization) -> Fraction:
+def _raw_residue_pairing(P: MatrixFactorization, Q: MatrixFactorization) -> int | Fraction:
     """Residue over the Jacobian ideal of top(Q) * top(P dual).
 
     Only reached in even arity, where the top of P's dual is P's own top:
@@ -115,27 +115,28 @@ def calibrate_sign(n: int) -> int:
     return frozen
 
 
-def canonical_pairing_u0(P: MatrixFactorization, Q: MatrixFactorization) -> Fraction:
+def canonical_pairing_u0(P: MatrixFactorization, Q: MatrixFactorization) -> int | Fraction:
     """epsilon_n times the residue of the product of Chern-form tops.
 
     Q contributes its own Chern form, P its dual's, whose top equals P's
     own in the even arities where the residue is taken.  In odd
     arity every top coefficient vanishes and the value is 0 (the potential
     is still validated so garbage input does not silently pair to zero).
+    The value is an int when it is integral and a Fraction otherwise.
     """
     if P.vars != Q.vars or P.f != Q.f:
         raise MFValidationError("pairing needs a common potential")
     n = len(P.vars)
     if n % 2:
         check_isolated(P.f)
-        return Fraction(0)
+        return 0
     return calibrate_sign(n) * _raw_residue_pairing(P, Q)
 
 
 @dataclass(frozen=True)
 class PairingReport:
     chi_ext: int
-    chi_residue: Fraction
+    chi_residue: int | Fraction
     n: int
     epsilon: int
     passed: bool
@@ -211,17 +212,20 @@ def _load_entry_mf(spec, variables) -> MatrixFactorization:
 
 _ENTRY_CHECKS = ("hrr", "symmetry", "shift", "sum")
 
-# what loading or computing one corpus entry may raise: a malformed entry, a
+# what loading or computing one corpus entry may raise: a malformed entry
+# (a missing key, a bad polynomial, a JSON value of the wrong type), a
 # rejected potential, an exhausted S-pair budget, a calibration mismatch or a
 # failed exact re-check.  Each fails that entry only.
-_ENTRY_ERRORS = (KeyError, ValueError, GroebnerLimitError, CalibrationError,
-                 VerificationError)
+_ENTRY_ERRORS = (KeyError, ValueError, TypeError, GroebnerLimitError,
+                 CalibrationError, VerificationError)
 
 
 def _run_entry(entry, only_checks=None, timings=False) -> dict:
     started = time.perf_counter()
-    name = str(entry.get("name") or entry.get("f", "?"))
+    name = str(entry.get("name") or entry.get("f", "?")) if isinstance(entry, dict) else "?"
     try:
+        if not isinstance(entry, dict):
+            raise TypeError(f"a corpus entry must be a JSON object, got {entry!r}")
         out = {"name": name, **_entry_checks(entry, only_checks)}
     except _ENTRY_ERRORS as e:
         return {"name": name, "pass": False, "error": f"{type(e).__name__}: {e}"}
@@ -394,7 +398,7 @@ def local_residue_suite(*, jmax=4, order=3) -> dict:
     for j in range(jmax + 1):
         eta = eta_construct(j, order)
         res = cech_residue(tr_nabla_cech(eta, order=order))
-        want = {0: Fraction(-1)} if j == 0 else {}
+        want = {0: -1} if j == 0 else {}
         tr = euler_trace(y_power(j))
         values.append({"j": j, "res": {str(k): str(v) for k, v in res.items()},
                        "trace": str(tr)})

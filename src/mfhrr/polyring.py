@@ -1,7 +1,8 @@
 """Exact multivariate polynomial and differential form arithmetic.
 
 Everything downstream works over the rationals.  Polynomials are sparse
-dicts mapping exponent tuples to nonzero Fractions.  Exponents may be any
+dicts mapping exponent tuples to nonzero rationals, each stored as _exact
+leaves it: an int when integral, else a Fraction.  Exponents may be any
 integers: the Cech local model inverts variables, and its traces carry
 negative exponents.  Nothing else produces them, and the Groebner and
 residue entry points reject them with LaurentError.
@@ -31,23 +32,17 @@ class LaurentError(ValueError):
 Monomial = tuple[int, ...]
 
 
-def _coerce(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"expected an exact rational, got {type(c).__name__}")
-
-
 def _exact(c):
-    """A coefficient in its one stored form outside Poly: an int when it is
-    integral, else a Fraction.  The chain and Groebner engines apply it where
-    coefficients enter a table, a chain or a vector."""
+    """A coefficient in its one stored form: an int when it is integral, else
+    a Fraction.  Poly, the forms, the chains and the Groebner vectors all
+    store it; anything but an int or a Fraction (a float too) is a TypeError."""
     if type(c) is int:
         return c
-    if type(c) is not Fraction:
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
+    raise TypeError(f"expected an exact rational, got {type(c).__name__}")
 
 
 def degrevlex_key(mono: Monomial):
@@ -60,20 +55,19 @@ class Poly:
 
     __slots__ = ("vars", "terms", "_hash")
 
-    def __init__(self, variables: Sequence[str], terms: Mapping[Monomial, Fraction] | None = None):
+    def __init__(self, variables: Sequence[str],
+                 terms: Mapping[Monomial, int | Fraction] | None = None):
         object.__setattr__(self, "vars", tuple(variables))
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, int | Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
-                coeff = _coerce(coeff)
+                coeff = _exact(coeff)
                 if not coeff:
                     continue
                 mono = tuple(mono)
                 if len(mono) != len(self.vars):
                     raise ValueError("exponent tuple length does not match variable count")
-                clean[mono] = clean.get(mono, Fraction(0)) + coeff
-                if not clean[mono]:
-                    del clean[mono]
+                clean[mono] = coeff
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
 
@@ -88,8 +82,7 @@ class Poly:
 
     @classmethod
     def const(cls, variables: Sequence[str], c) -> "Poly":
-        n = len(variables)
-        return cls(variables, {(0,) * n: _coerce(c)})
+        return cls(variables, {(0,) * len(variables): c})
 
     @classmethod
     def one(cls, variables: Sequence[str]) -> "Poly":
@@ -98,11 +91,11 @@ class Poly:
     @classmethod
     def variable(cls, variables: Sequence[str], i: int) -> "Poly":
         mono = tuple(1 if j == i else 0 for j in range(len(variables)))
-        return cls(variables, {mono: Fraction(1)})
+        return cls(variables, {mono: 1})
 
     @classmethod
     def monomial(cls, variables: Sequence[str], mono: Monomial, coeff=1) -> "Poly":
-        return cls(variables, {tuple(mono): _coerce(coeff)})
+        return cls(variables, {tuple(mono): coeff})
 
     # -- ring structure ----------------------------------------------------
 
@@ -113,7 +106,7 @@ class Poly:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
         terms = dict(self.terms)
         for mono, c in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + c
+            terms[mono] = terms.get(mono, 0) + c
         return Poly(self.vars, terms)
 
     __radd__ = __add__
@@ -131,15 +124,15 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
-            c = _coerce(other)
+            c = _exact(other)
             return Poly(self.vars, {m: c * v for m, v in self.terms.items()})
         if self.vars != other.vars:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, int | Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
-                terms[m] = terms.get(m, Fraction(0)) + c1 * c2
+                terms[m] = terms.get(m, 0) + c1 * c2
         return Poly(self.vars, terms)
 
     __rmul__ = __mul__
@@ -165,22 +158,22 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
+    def constant_term(self) -> int | Fraction:
+        return self.terms.get((0,) * len(self.vars), 0)
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
+    def coefficient(self, mono: Monomial) -> int | Fraction:
+        return self.terms.get(tuple(mono), 0)
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, int | Fraction]]:
         return sorted(self.terms.items(), key=lambda t: degrevlex_key(t[0]), reverse=True)
 
-    def __iter__(self) -> Iterator[tuple[Monomial, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[Monomial, int | Fraction]]:
         return iter(self.sorted_terms())
 
     # -- calculus ----------------------------------------------------------
 
     def partial(self, i: int) -> "Poly":
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, int | Fraction] = {}
         for mono, c in self.terms.items():
             e = mono[i]
             if e == 0:
@@ -188,12 +181,12 @@ class Poly:
             m = list(mono)
             m[i] = e - 1
             m = tuple(m)
-            terms[m] = terms.get(m, Fraction(0)) + c * e
+            terms[m] = terms.get(m, 0) + c * e
         return Poly(self.vars, terms)
 
     # -- printing ----------------------------------------------------------
 
-    def _term_str(self, mono: Monomial, coeff: Fraction) -> str:
+    def _term_str(self, mono: Monomial, coeff: int | Fraction) -> str:
         factors = []
         for name, e in zip(self.vars, mono):
             if e == 0:
@@ -342,16 +335,18 @@ class _Parser:
                 exp = self.uint()
             mono = tuple(exp if j == self.index[name] else 0
                          for j in range(len(self.vars)))
-            return Poly(self.vars, {mono: Fraction(1)})
+            return Poly(self.vars, {mono: 1})
         self.error("expected a number, variable, or parenthesized expression")
 
 
 def parse_poly(text: str, variables: Sequence[str]) -> Poly:
     """Parse a polynomial string over the given variables.
 
-    Raises PolyParseError (with .position) on malformed input or unknown
-    variable names.
+    Raises PolyParseError (with .position) on malformed input, unknown
+    variable names or a text that is not a str.
     """
+    if not isinstance(text, str):
+        raise PolyParseError(f"expected a polynomial string, got {type(text).__name__}", 0)
     return _Parser(text, variables).parse()
 
 
@@ -424,9 +419,8 @@ class DiffForm:
         return self + (-other)
 
     def scale(self, c) -> "DiffForm":
-        if isinstance(c, Poly):
-            return DiffForm(self.vars, {i: p * c for i, p in self.comps.items()})
-        c = _coerce(c)
+        if not isinstance(c, Poly):
+            c = _exact(c)
         return DiffForm(self.vars, {i: p * c for i, p in self.comps.items()})
 
     def __mul__(self, c):

@@ -33,12 +33,13 @@ def _check_ordinary(numerator: Poly) -> None:
                            "residues take ordinary polynomials")
 
 
-def res_monomial(numerator: Poly, exponents) -> Fraction:
+def res_monomial(numerator: Poly, exponents) -> int | Fraction:
     """Residue of numerator dx over the pure powers x_i^{exponents[i]}.
 
     Linear in the numerator; a monomial x^b contributes its coefficient
-    exactly when b_i = exponents[i] - 1 for every i.  The numerator must be
-    an ordinary polynomial (LaurentError otherwise).
+    exactly when b_i = exponents[i] - 1 for every i, as stored (an int or a
+    Fraction).  The numerator must be an ordinary polynomial (LaurentError
+    otherwise).
     """
     _check_ordinary(numerator)
     a = tuple(exponents)
@@ -48,7 +49,7 @@ def res_monomial(numerator: Poly, exponents) -> Fraction:
     if any((not isinstance(e, int)) or e <= 0 for e in a):
         raise ValueError(f"denominator exponents must be positive integers: {a}")
     target = tuple(e - 1 for e in a)
-    return numerator.terms.get(target, Fraction(0))
+    return numerator.coefficient(target)
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,8 @@ class ResidueProblem:
         return f"ResidueProblem({self.numerator} dx / ({gens}))"
 
 
-def groth_residue(prob: ResidueProblem, cover: DenominatorCover | None = None) -> Fraction:
+def groth_residue(prob: ResidueProblem,
+                  cover: DenominatorCover | None = None) -> int | Fraction:
     """Residue of the validated problem, through a pure-power cover.
 
     A caller-supplied cover is checked against the problem's own

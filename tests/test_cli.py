@@ -167,6 +167,27 @@ def test_hrr_failing_entry_exit_code(tmp_path, capsys):
     assert json.loads(out)["summary"]["pass"] is False
 
 
+def test_malformed_corpus_entries_fail_alone(tmp_path, capsys):
+    good = {"name": "good", "vars": ["x", "y"], "f": "x*y",
+            "mfs": [{"koszul": {"a": ["x"], "b": ["y"]}}]}
+    number_entry = {"vars": ["x"], "f": "x^2", "delta0": [[2]], "delta1": [["x"]]}
+    bad = [{"name": "float f", "vars": ["x"], "f": 1.5},
+           {"name": "number entry", "vars": ["x"], "f": "x^2", "mfs": [number_entry]},
+           {"name": "number vars", "vars": 5, "f": "x"}, [3]]
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps([good, *bad]))
+    code, out, _ = run_cli(capsys, "hrr", "--corpus", str(corpus))
+    assert code == 1
+    rows = json.loads(out)["entries"]
+    assert [r["pass"] for r in rows] == [True, False, False, False, False]
+    assert "error" not in rows[0] and all("error" in r for r in rows[1:])
+    for data in (number_entry, {**number_entry, "f": 1.5}):
+        mf = tmp_path / "mf.json"
+        mf.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "validate", "--mf", str(mf))
+        assert (code, out) == (1, "") and "error:" in err
+
+
 def test_empty_corpus_exits_zero(tmp_path, capsys):
     corpus = tmp_path / "empty.json"
     corpus.write_text("[]")

@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -9,6 +11,7 @@ from mfhrr.hochschild import (
     Chain,
     ChainError,
     UChain,
+    _cyclic_shuffles,
     _phi_tower,
     _proportionality,
     alpha_op,
@@ -259,6 +262,43 @@ def test_cyclic_shuffle_admissible_reading():
     assert [idx for _, idx in atoms] == [0, 3 * nb + 0, 0 * nb + 3]
 
 
+def _cyclic_shuffles_direct(sparA, sparB):
+    """Reference enumeration: every rotation pair, every interleaving, and
+    the Koszul sign of the full permutation counted inversion by inversion."""
+    n1, m1 = len(sparA), len(sparB)
+    spar = sparA + sparB
+    out = []
+    for p in range(n1):
+        orderA = list(range(p, n1)) + list(range(p))
+        for q in range(m1):
+            orderB = [n1 + i for i in list(range(q, m1)) + list(range(q))]
+            for positions in combinations(range(n1 + m1), n1):
+                order = [None] * (n1 + m1)
+                posB = [t for t in range(n1 + m1) if t not in positions]
+                for i, t in enumerate(positions):
+                    order[t] = orderA[i]
+                for i, t in enumerate(posB):
+                    order[t] = orderB[i]
+                if order.index(0) > order.index(n1):
+                    continue
+                negate = False
+                for i in range(n1 + m1):
+                    for j in range(i + 1, n1 + m1):
+                        if (order[i] > order[j]
+                                and spar[order[i]] and spar[order[j]]):
+                            negate = not negate
+                out.append((tuple(order), negate))
+    return out
+
+
+def test_cyclic_shuffles_match_the_direct_enumeration():
+    tuples = [t for n in range(1, 5) for t in product((0, 1), repeat=n)]
+    for sparA in tuples:
+        for sparB in tuples:
+            assert (Counter(_cyclic_shuffles(sparA, sparB))
+                    == Counter(_cyclic_shuffles_direct(sparA, sparB))), (sparA, sparB)
+
+
 def test_kunneth_commutation_all_u_levels():
     A, B = _tensor_pair()
     rng = random.Random(2024)
@@ -461,6 +501,15 @@ def test_proportionality_divides_as_fraction(model):
     ratio = _proportionality(four, three)
     assert type(ratio) is Fraction and ratio == Fraction(4, 3)
     assert type(_proportionality(four.scale(2), four)) is Fraction
+
+
+def test_float_coefficient_is_rejected(model):
+    e = model.chain("e")
+    for make in (lambda: model.chain("e", coeff=0.5), lambda: e.scale(0.5),
+                 lambda: Chain(model, {next(iter(e.terms)): 0.5}),
+                 lambda: Chain(model, {next(iter(e.terms)): 0.0})):
+        with pytest.raises(TypeError):
+            make()
 
 
 # ---- presentation plumbing ---------------------------------------------------------

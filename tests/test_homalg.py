@@ -15,7 +15,10 @@ from mfhrr.groebner import (
     NonContainmentError,
 )
 from mfhrr.homalg import (
+    _eliminate,
     _homology_half,
+    _matrix_columns_truncated,
+    _monomials_below,
     euler_chi,
     ext_dims,
     ext_dims_truncated,
@@ -240,6 +243,21 @@ def test_truncated_oracle_agrees():
     for P, Q in pairs:
         r = ext_dims(P, Q)
         assert ext_dims_truncated(P, Q) == (r.dim_ext0, r.dim_ext1)
+
+
+def test_truncated_pivots_are_int_or_proper_fraction():
+    # integral entries with non-unit leads: every pivot is divided by its
+    # lead, which must give an int or a proper Fraction, never a float
+    K = koszul_mf(XY, [pp("2*x"), pp("y")], [pp("3*y + x^2"), pp("-y")])
+    C = hom_complex(K, K)
+    monos = _monomials_below(2, 3)
+    pivots = [v for d in (C.d0, C.d1)
+              for piv in _eliminate(_matrix_columns_truncated(d, XY, monos),
+                                    lambda t: (sum(t[1]), t[1], t[0])).values()
+              for v in piv.values()]
+    assert any(type(v) is Fraction for v in pivots)
+    assert all(type(v) is int or (type(v) is Fraction and v.denominator > 1)
+               for v in pivots)
 
 
 # -- the Koszul route --------------------------------------------------------------

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mfhrr.groebner import buchberger, syzygies
+from mfhrr.groebner import GraphBasis, buchberger, normal_form, syzygies
+from mfhrr.hkrtrace import chern_form
+from mfhrr.mfcat import koszul_mf
 from mfhrr.polyring import (
     DiffForm,
     FormSeries,
@@ -61,6 +64,12 @@ def test_parse_unknown_variable():
 def test_parse_zero_denominator():
     with pytest.raises(PolyParseError):
         P("1/0")
+
+
+def test_parse_rejects_a_non_string():
+    for text in (1.5, 2, None):
+        with pytest.raises(PolyParseError):
+            parse_poly(text, XY)
 
 
 def test_parse_trailing_garbage():
@@ -206,3 +215,45 @@ def test_twist_diff_components():
     assert t.coeffs[0] == DiffForm(XY, {(0,): P("-x*y")}) + DiffForm(XY, {(1,): P("-x^2")})
     assert t.coeffs[1] == DiffForm.dx(XY, 0)
     assert t.coeffs[2].is_zero()
+
+
+# -- stored coefficients --------------------------------------------------------
+
+def _stored(p):
+    """True when every coefficient is an int or a Fraction that is not one."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in p.terms.values())
+
+
+def _random_poly(rng):
+    coeffs = [1, -1, 3, Fraction(1, 2), Fraction(-3, 2), Fraction(4, 2)]
+    return Poly(XY, {(rng.randrange(3), rng.randrange(3)): rng.choice(coeffs)
+                     for _ in range(rng.randrange(1, 5))})
+
+
+def test_stored_coefficients_are_int_or_proper_fraction():
+    p = P("6/3*x - 1/2")
+    assert _stored(p) and type(p.coefficient((1, 0))) is int
+    assert type(P("1/2*x + 1/2*x").coefficient((1, 0))) is int
+    rng = random.Random(1213)
+    gens = [P("2*x^2 - y"), P("1/2*x*y - 3*y^2")]
+    gb, graph = buchberger(gens), GraphBasis(gens)
+    for _ in range(30):
+        a, b = _random_poly(rng), _random_poly(rng)
+        wa, wb = DiffForm(XY, {(0,): a, (1,): b}), DiffForm.from_poly(b)
+        forms = [wa.wedge(wb), wa.d(), wb.d(), wa.scale(Fraction(2, 3))]
+        polys = [a + b, a - b, a * b, a * Fraction(2, 3), a.partial(0), a.partial(1),
+                 normal_form(a, gb), *graph.cofactors(a * gens[0] + b * gens[1])]
+        assert all(_stored(q) for q in polys + [c for w in forms for c in w.comps.values()])
+    for mf in (koszul_mf(XY, [P("1/2*x")], [P("2*y + x^2")]),
+               koszul_mf(XY, [P("x"), P("y")], [P("3*x"), P("1/3*y^2")])):
+        assert all(_stored(c) for c in chern_form(mf).form.comps.values())
+
+
+def test_float_coefficient_is_rejected():
+    x = P("x")
+    for make in (lambda: Poly(XY, {(1, 0): 0.5}), lambda: Poly.const(XY, 0.0),
+                 lambda: x * 0.5, lambda: Poly.zero(XY) * 0.5, lambda: x + 0.5,
+                 lambda: DiffForm.from_poly(x).scale(0.5)):
+        with pytest.raises(TypeError):
+            make()
