@@ -6,6 +6,7 @@ it is integral, a Fraction with denominator > 1 otherwise), the form Poly
 already holds, so polynomials enter as they are and integral work runs on
 machine ints.  Every working basis element is stored monic, so reduction and
 S-vectors multiply and subtract only; the one division is the monic step.
+Reduction keeps the terms still to look at on a heap.
 Module terms are compared position-over-term: lower component wins, ties
 broken by the ring order (degrevlex by default).  Ideals are rank-one
 modules.
@@ -15,8 +16,11 @@ GraphBasis: Buchberger runs once per generator set, on the graph module
 {(g_k, e_k)} in F_r (+) F_s with the tag block ordered below the main
 block.  Basis elements with zero main part carry syzygies in their tags;
 normal forms of (p, 0) carry membership certificates, for as many targets
-as the caller has.  Each syzygy and certificate is verified once, exactly,
-against the caller's generators; a failed check raises VerificationError.
+as the caller has.  Modulo an ideal (a) the a_k e_i join the graph module
+untagged, so the same tags carry the relations modulo (a)·F_r.  Each
+syzygy and certificate is verified once, exactly, against the caller's
+generators, modulo (a) by cofactors on a; a failed check raises
+VerificationError.
 
 The engine takes ordinary polynomials only: a negative exponent raises
 LaurentError where a polynomial enters it.
@@ -83,6 +87,21 @@ def term_key(order: str):
     return key
 
 
+# flat keys under which the larger term of term_key is the smaller one, so a
+# heapq min-heap pops the largest term first
+def _degrevlex_heap_key(term):
+    comp, mono = term
+    return (comp, -sum(mono), mono[::-1])
+
+
+def _lex_heap_key(term):
+    comp, mono = term
+    return (comp, tuple(-e for e in mono))
+
+
+HEAP_KEYS = {"degrevlex": _degrevlex_heap_key, "lex": _lex_heap_key}
+
+
 def _mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
@@ -124,6 +143,7 @@ class _Basis:
 
     def __init__(self, order: str):
         self.key = term_key(order)
+        self.heap_key = HEAP_KEYS[order]
         self.elems: list[dict] = []
         self.leads: list[tuple] = []
 
@@ -145,13 +165,20 @@ class _Basis:
 
 
 def _reduce_full(v, basis: _Basis):
-    """Fully reduce v against the basis; returns the remainder."""
-    key = basis.key
+    """Fully reduce v against the basis; returns the remainder.
+
+    The largest term not yet looked at is reduced first, by the first basis
+    element whose lead divides it.  Terms wait on a heap under their flat
+    heap key; each subtraction runs in place and queues only the terms it
+    creates, all of them below the term it removed.
+    """
+    hkey = basis.heap_key
     rem = dict(v)
-    # repeatedly reduce the largest still-reducible term
-    pending = sorted(rem, key=key, reverse=True)
-    while pending:
-        t = pending.pop(0)
+    heap = [(hkey(t), t) for t in rem]
+    heapq.heapify(heap)
+    queued = set(rem)
+    while heap:
+        t = heapq.heappop(heap)[1]
         c = rem.get(t)
         if not c:
             continue
@@ -159,9 +186,16 @@ def _reduce_full(v, basis: _Basis):
         if i is None:
             continue
         shift = _mono_div(t[1], basis.leads[i][1])
-        rem = v_sub_scaled(rem, c, shift, basis.elems[i])
-        # new terms may have appeared strictly below t
-        pending = sorted((s for s in rem if key(s) <= key(t)), key=key, reverse=True)
+        for (comp, m), a in basis.elems[i].items():
+            s = (comp, _mono_mul(shift, m))
+            b = rem.get(s, 0) - c * a
+            if b:
+                rem[s] = _exact(b)
+                if s not in queued:
+                    queued.add(s)
+                    heapq.heappush(heap, (hkey(s), s))
+            elif s in rem:
+                del rem[s]
     return rem
 
 
@@ -388,33 +422,47 @@ def quotient_basis(gb: GroebnerBasis):
 # -- graph-module constructions ----------------------------------------------
 
 class GraphBasis:
-    """Groebner basis of the graph module {(g_k, e_k)} of one generator set.
+    """Groebner basis of the graph module {(g_k, e_k)} of one generator set,
+    modulo (ideal)·F when an ideal is given.
 
     The tag block e_1, ..., e_s is ordered below the main block, so a basis
     element whose lead lies in the tag block has zero main part and carries
     a syzygy in its tags, and reducing (p, 0) to a remainder without main
-    part leaves minus a cofactor vector of p there.  Each syzygy and each
-    cofactor vector is checked against the generators as it is handed out.
+    part leaves minus a cofactor vector of p there.  Each a·e_i of the ideal
+    enters untagged, as (a e_i, 0), so the tags carry relations and
+    cofactors modulo (ideal)·F directly, with nothing to project away.
+    Each syzygy and each cofactor vector is checked against the generators
+    as it is handed out: sum c_k g_k minus the claimed target must vanish,
+    or, modulo an ideal, lift onto the ideal component by component through
+    the ideal's own graph basis.
     """
 
-    def __init__(self, gens, order: str = "degrevlex"):
+    def __init__(self, gens, order: str = "degrevlex", ideal=()):
         gens, variables, self.ncomp = _gens_info(gens)
         self.vars = tuple(variables)
         self.gens = [_to_vec(g, self.ncomp) for g in gens]
+        ideal = tuple(ideal)
+        self.on_ideal = graph_basis(ideal) if ideal else None
         tag = (0,) * len(self.vars)
         graph = [{**g, (self.ncomp + k, tag): 1}
                  for k, g in enumerate(self.gens)]
+        for a in ideal:
+            terms = _to_vec(a, 1)
+            graph.extend({(i, m): c for (_, m), c in terms.items()}
+                         for i in range(self.ncomp))
         self.basis, _ = _buchberger_raw(graph, order, False)
 
     def syzygies(self) -> list:
-        """Tuples c of Poly with sum c_k g_k = 0, generating all of them."""
+        """Tuples c of Poly with sum c_k g_k = 0 (in (ideal)·F, given an
+        ideal), generating all of them."""
         ncomp = self.ncomp
         return [self._verified({(c - ncomp, m): a for (c, m), a in e.items()}, {})
                 for e, (comp, _) in zip(self.basis.elems, self.basis.leads)
                 if comp >= ncomp]
 
     def cofactors(self, target) -> tuple:
-        """Tuple c of Poly with sum c_k g_k = target; NotInIdealError otherwise."""
+        """Tuple c of Poly with sum c_k g_k = target (modulo (ideal)·F, given
+        an ideal); NotInIdealError otherwise."""
         ncomp = self.ncomp
         vec = _to_vec(target, ncomp)
         rem = _reduce_full(vec, self.basis)
@@ -423,8 +471,9 @@ class GraphBasis:
         return self._verified({(c - ncomp, m): -a for (c, m), a in rem.items()}, vec)
 
     def _verified(self, tags, want) -> tuple:
-        """The tag vector as Poly cofactors, once sum c_k g_k = want holds."""
-        acc = {}
+        """The tag vector as Poly cofactors, once sum c_k g_k - want is
+        proved to lie in (ideal)·F, which is zero with no ideal."""
+        acc = {t: -c for t, c in want.items()}
         for (k, m), a in tags.items():
             for (comp, gm), b in self.gens[k].items():
                 t = (comp, _mono_mul(m, gm))
@@ -433,11 +482,27 @@ class GraphBasis:
                     acc[t] = c
                 else:
                     del acc[t]
-        if acc != want:
-            raise VerificationError(
-                "graph-module tag vector does not recombine the generators "
-                "to the claimed target")
+        if acc:
+            if self.on_ideal is None:
+                raise VerificationError(
+                    "graph-module tag vector does not recombine the generators "
+                    "to the claimed target")
+            for p in _from_vec(acc, self.vars, self.ncomp):
+                try:
+                    self.on_ideal.cofactors(p)
+                except NotInIdealError:
+                    raise VerificationError(
+                        "graph-module tag vector does not recombine the generators "
+                        "to the claimed target modulo the ideal") from None
         return _from_vec(tags, self.vars, len(self.gens))
+
+
+@lru_cache(maxsize=None)
+def graph_basis(gens: tuple) -> GraphBasis:
+    """GraphBasis(gens), built once per generator tuple and shared: a Koszul
+    sequence's basis lifts the certificates of every kernel taken modulo it
+    and gives is_koszul_regular its syzygies."""
+    return GraphBasis(gens)
 
 
 def syzygies(gens):
@@ -449,10 +514,15 @@ def syzygies(gens):
     return GraphBasis(gens).syzygies()
 
 
-def module_kernel(matrix):
-    """Kernel generators of the map F_s -> F_r given by a r x s Poly matrix.
+def module_kernel(matrix, ideal=()):
+    """Generators of {v in F_s : matrix·v in (ideal)·F_r} for a r x s Poly
+    matrix; with no ideal, the kernel of the map F_s -> F_r.
 
-    Returns a list of length-s tuples of Poly spanning the kernel.
+    Returns a list of length-s tuples of Poly, the tag-block elements of
+    one graph basis of the columns with the ideal adjoined untagged (see
+    GraphBasis).  Under position-over-term with the main block first this
+    is an elimination order, so they generate the whole module; each one
+    is verified, modulo the ideal through cofactors on the ideal.
     """
     r = len(matrix)
     if r == 0:
@@ -463,7 +533,7 @@ def module_kernel(matrix):
     if s == 0:
         return []
     cols = [tuple(matrix[i][j] for i in range(r)) for j in range(s)]
-    return syzygies(cols)
+    return GraphBasis(cols, ideal=ideal).syzygies()
 
 
 def subquotient_dim(ker_gens, im_gens) -> int:

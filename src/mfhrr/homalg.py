@@ -1,8 +1,8 @@
 """Ext dimensions and Euler characteristics of matrix factorizations.
 
-The shipping routes are exact: kernels are computed as syzygy modules and
-each homology dimension is a subquotient dimension over the polynomial
-ring.  Ext(P, Q) is the homology of hom_complex(P, Q), or, when P is a
+The shipping routes are exact: kernels are computed as syzygy modules
+(modulo the ideal, on the Koszul route: module_kernel(d, a)) and each
+homology dimension is a subquotient dimension over the polynomial ring.  Ext(P, Q) is the homology of hom_complex(P, Q), or, when P is a
 Koszul factorization K(a, b) with a regular, the homology of Q reduced
 mod (a), a complex rank(P) times smaller (see ext_dims).  Taking the
 subquotient lifts every image generator into the kernel, so it also
@@ -22,9 +22,9 @@ from .groebner import (
     GraphBasis,
     NotInIdealError,
     check_isolated,
+    graph_basis,
     module_kernel,
     subquotient_dim,
-    syzygies,
 )
 from .mfcat import MatrixFactorization, MFValidationError, Z2Complex, hom_complex
 from .polyring import Poly, _exact
@@ -59,15 +59,6 @@ def _ideal_multiples(ideal, rank, variables):
             for a in ideal for j in range(rank)]
 
 
-def _kernel_mod(d, ideal, variables):
-    """Generators of {v : d v in (ideal) * target}, as tuples over d's source:
-    the kernel of [d | a_1 I | ... | a_r I], projected onto d's source."""
-    extra = _ideal_multiples(ideal, len(d), variables)
-    wide = [tuple(row) + tuple(col[i] for col in extra) for i, row in enumerate(d)]
-    nsrc = len(d[0])
-    return [v[:nsrc] for v in module_kernel(wide) if any(v[:nsrc])]
-
-
 def homology_dims(C: Z2Complex, ideal=()):
     """(dim H0, dim H1, provenance record) of C tensored with R/(ideal).
 
@@ -95,7 +86,7 @@ def homology_dims(C: Z2Complex, ideal=()):
 def _homology_half(variables, d_out, d_in, ideal, source_rank):
     """(dim, kernel generator count) of {v : d_out v in (ideal)} modulo
     im d_in + (ideal), on a source of the given rank."""
-    ker = _kernel_mod(d_out, ideal, variables)
+    ker = module_kernel(d_out, ideal)
     im = _columns(d_in) + _ideal_multiples(ideal, source_rank, variables)
     dim = subquotient_dim(ker, im)
     return dim, len(ker)
@@ -111,7 +102,7 @@ def is_koszul_regular(a: tuple) -> bool:
     """
     if any(p.is_zero() for p in a):
         return False
-    syz = syzygies(a)
+    syz = graph_basis(a).syzygies()
     r = len(a)
     zero = Poly.zero(a[0].vars)
     relations = [tuple(a[j] if k == i else -a[i] if k == j else zero for k in range(r))

@@ -341,14 +341,32 @@ def mf_to_json(P: MatrixFactorization) -> dict:
     }
 
 
+def _json_matrix(name, rows, variables):
+    """A JSON matrix field as rows of Poly."""
+    if not (isinstance(rows, list)
+            and all(isinstance(row, list) and all(isinstance(s, str) for s in row)
+                    for row in rows)):
+        raise MFValidationError(f'"{name}" must be a list of rows, each a list '
+                                "of polynomial strings")
+    return [[parse_poly(s, variables) for s in row] for row in rows]
+
+
 def mf_from_json(data: dict) -> MatrixFactorization:
+    """The factorization a JSON object describes.  A missing or mistyped
+    field raises MFValidationError, so a string where a matrix or a row
+    belongs is rejected, not read as one; a polynomial string that does not
+    parse raises PolyParseError."""
     if not isinstance(data, dict):
         raise MFValidationError("matrix factorization JSON must be an object")
     try:
-        variables = tuple(data["vars"])
-        f = parse_poly(data["f"], variables)
-        d0 = [[parse_poly(s, variables) for s in row] for row in data["delta0"]]
-        d1 = [[parse_poly(s, variables) for s in row] for row in data["delta1"]]
+        names, f, d0, d1 = data["vars"], data["f"], data["delta0"], data["delta1"]
     except KeyError as e:
         raise MFValidationError(f"missing field {e} in matrix factorization JSON") from None
-    return MatrixFactorization(variables, f, d0, d1)
+    if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
+        raise MFValidationError('"vars" must be a list of variable names')
+    if not isinstance(f, str):
+        raise MFValidationError('"f" must be a polynomial string')
+    variables = tuple(names)
+    return MatrixFactorization(variables, parse_poly(f, variables),
+                               _json_matrix("delta0", d0, variables),
+                               _json_matrix("delta1", d1, variables))

@@ -111,6 +111,27 @@ def test_validate_rejects_broken_file(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_validate_rejects_string_matrix(tmp_path, capsys):
+    # each character of "x" used to be read as a row, and the file passed
+    bad = tmp_path / "string.json"
+    bad.write_text(json.dumps(
+        {"vars": ["x"], "f": "x^2", "delta0": "x", "delta1": [["x"]]}))
+    code, out, err = run_cli(capsys, "validate", "--mf", str(bad))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "delta0" in err
+
+
+@pytest.mark.parametrize("flag,command", [("--mf", "validate"), ("--p", "ext"),
+                                          ("--p", "pair"), ("--mf", "chern")])
+def test_mistyped_vars_is_an_error_not_a_traceback(tmp_path, capsys, flag, command):
+    bad = tmp_path / "vars.json"
+    bad.write_text(json.dumps(
+        {"vars": 5, "f": "x^2", "delta0": [["x"]], "delta1": [["x"]]}))
+    code, out, err = run_cli(capsys, command, flag, str(bad))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "vars" in err
+
+
 def test_ext_command(capsys, mf_file):
     code, out, _ = run_cli(capsys, "ext", "--p", mf_file)
     assert code == 0

@@ -24,6 +24,7 @@ from mfhrr.groebner import (
     subquotient_dim,
     syzygies,
 )
+from mfhrr.mfcat import koszul_mf
 from mfhrr.polyring import Poly, parse_poly
 
 XY = ("x", "y")
@@ -214,6 +215,108 @@ def test_corrupted_graph_basis_is_caught(monkeypatch):
         GraphBasis([P("x^2"), P("x*y + y^2")]).cofactors(P("y^3"))
 
 
+# -- kernels modulo an ideal ---------------------------------------------------------
+
+def _projected_kernel(matrix, ideal):
+    """The kernel modulo the ideal as it used to be taken: syzygies of
+    [matrix | a_1 I | ... | a_r I], projected onto the matrix's source."""
+    r, s = len(matrix), len(matrix[0])
+    zero = Poly.zero(matrix[0][0].vars)
+    wide = [list(row) + [a if i == j else zero for a in ideal for j in range(r)]
+            for i, row in enumerate(matrix)]
+    return [v[:s] for v in module_kernel(wide)
+            if any(not p.is_zero() for p in v[:s])]
+
+
+def _in_span_mod(vectors, ideal, target):
+    """Whether target lies in span(vectors) + (ideal)·F, by an independent
+    graph basis with the ideal multiples as ordinary generators."""
+    rank = len(target)
+    zero = Poly.zero(target[0].vars)
+    multiples = [tuple(a if i == j else zero for i in range(rank))
+                 for a in ideal for j in range(rank)]
+    try:
+        GraphBasis(list(vectors) + multiples).cofactors(target)
+    except NotInIdealError:
+        return False
+    return True
+
+
+def test_kernel_mod_ideal_matches_projected_kernel_on_koszul_splits():
+    rng = random.Random(1303)
+    xyz = ("x", "y", "z")
+    for trial in range(6):
+        variables = xyz if trial % 3 == 2 else XY
+        powers = [rng.choice((2, 3, 4)) for _ in variables]
+
+        def split():
+            pairs = []
+            for v, p in zip(variables, powers):
+                i = rng.randint(1, p - 1)
+                pairs.append((P(f"{v}^{i}", variables), P(f"{v}^{p - i}", variables)))
+            rng.shuffle(pairs)
+            return koszul_mf(variables, [a for a, _ in pairs], [b for _, b in pairs])
+
+        a, Q = split().koszul, split()
+        for d in (Q.delta0, Q.delta1):
+            new, old = module_kernel(d, a), _projected_kernel(d, a)
+            assert new and old
+            for v in new:
+                assert _in_span_mod(old, a, v)
+            for v in old:
+                assert _in_span_mod(new, a, v)
+
+
+def test_module_kernel_without_ideal_is_the_plain_kernel():
+    rng = random.Random(1304)
+    for _ in range(10):
+        rows, cols = rng.randint(1, 2), rng.randint(1, 3)
+        M = [[_random_poly(rng, XY) for _ in range(cols)] for _ in range(rows)]
+        assert module_kernel(M) == module_kernel(M, ())
+
+
+# (x, y) -> x v1 + y v2 lands in (x^2) on (y, -x) and (x, 0); the second has
+# a nonzero image, so its certificate lifts x^2 onto the ideal
+KERNEL_MOD = ([[P("x"), P("y")]], (P("x^2"),))
+
+
+def test_kernel_mod_ideal_hand_worked():
+    M, ideal = KERNEL_MOD
+    ker = module_kernel(M, ideal)
+    for v in ((P("y"), P("-x")), (P("x"), P("0")), (P("0"), P("x^2"))):
+        assert _in_span_mod(ker, ideal, v)
+    assert not _in_span_mod(ker, ideal, (P("1"), P("0")))
+
+
+def test_corrupted_kernel_generator_is_caught(monkeypatch):
+    M, ideal = KERNEL_MOD
+    groebner.graph_basis(ideal)  # built clean before the corruption
+    real = groebner._buchberger_raw
+
+    def corrupted(*args, **kwargs):
+        basis, stats = real(*args, **kwargs)
+        # add e_1 to every tag-lead element: its image moves by x, not in (x^2)
+        for e, (comp, _) in zip(basis.elems, basis.leads):
+            if comp >= 1:
+                e[(1, (0, 0))] = e.get((1, (0, 0)), 0) + 1
+        return basis, stats
+
+    monkeypatch.setattr(groebner, "_buchberger_raw", corrupted)
+    with pytest.raises(VerificationError):
+        module_kernel(M, ideal)
+
+
+def test_corrupted_certificate_is_caught(monkeypatch):
+    M, ideal = KERNEL_MOD
+    bad = GraphBasis(ideal)
+    for e in bad.basis.elems:
+        tag = max(e, key=lambda t: t[0])
+        e[tag] *= 2
+    monkeypatch.setattr(groebner, "graph_basis", lambda gens: bad)
+    with pytest.raises(VerificationError):
+        module_kernel(M, ideal)
+
+
 # -- stored coefficients ------------------------------------------------------------
 
 def _assert_stored(vec):
@@ -248,6 +351,68 @@ def test_stored_coefficients_are_int_or_proper_fraction():
                 assert e[lead] == 1
         target = _random_poly(rng, XY) if rank == 1 else (_random_poly(rng, XY),) * 2
         _assert_stored(groebner._reduce_full(groebner._to_vec(target, rank), gb.basis))
+
+
+# -- heap reduction against the sorted reference ------------------------------------
+
+def _sorted_reduce(v, basis):
+    """The reduction _reduce_full replaced, kept as its reference: re-sort
+    the remaining terms after every step and reduce the largest."""
+    key = basis.key
+    rem = dict(v)
+    pending = sorted(rem, key=key, reverse=True)
+    while pending:
+        t = pending.pop(0)
+        c = rem.get(t)
+        if not c:
+            continue
+        i = basis.find_reducer(t)
+        if i is None:
+            continue
+        shift = groebner._mono_div(t[1], basis.leads[i][1])
+        rem = groebner.v_sub_scaled(rem, c, shift, basis.elems[i])
+        pending = sorted((s for s in rem if key(s) <= key(t)), key=key, reverse=True)
+    return rem
+
+
+def _random_vec(rng, ncomp, nvars):
+    coeffs = [1, -1, 3, Fraction(1, 2), Fraction(-2, 3)]
+    return {(rng.randrange(ncomp), tuple(rng.randrange(4) for _ in range(nvars))):
+            rng.choice(coeffs) for _ in range(rng.randrange(1, 7))}
+
+
+@pytest.mark.parametrize("order", ["degrevlex", "lex"])
+def test_heap_reduction_matches_sorted_reference(monkeypatch, order):
+    rng = random.Random(1305)
+    real = groebner._reduce_full
+    snapshots = []
+
+    def checked(v, basis):
+        out = real(v, basis)
+        assert out == _sorted_reduce(v, basis)
+        snapshots.append((list(basis.elems), list(basis.leads)))
+        return out
+
+    monkeypatch.setattr(groebner, "_reduce_full", checked)
+    finals = []
+    for trial in range(6):
+        rank = 1 + trial % 2
+        gens = [tuple(_random_poly(rng, XY) for _ in range(rank))
+                for _ in range(rng.randrange(2, 4))]
+        finals.append(buchberger(gens, order).basis)
+        finals.append(GraphBasis(gens, order).basis)
+    monkeypatch.setattr(groebner, "_reduce_full", real)
+    working = []
+    for elems, leads in snapshots[::max(1, len(snapshots) // 40)]:
+        basis = groebner._Basis(order)
+        basis.elems, basis.leads = elems, leads
+        working.append(basis)
+    assert working
+    for basis in working + finals:
+        ncomp = 1 + max(comp for comp, _ in basis.leads)
+        for _ in range(5):
+            v = _random_vec(rng, ncomp, len(XY))
+            assert real(v, basis) == _sorted_reduce(v, basis)
 
 
 # -- zero dimensionality ----------------------------------------------------------

@@ -276,3 +276,13 @@ def test_json_rejects_bad_square():
 def test_json_missing_field():
     with pytest.raises(MFValidationError):
         mf_from_json({"vars": ["x"], "f": "x"})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("vars", 5), ("vars", "x"), ("vars", ["x", 1]), ("f", 2),
+    ("delta0", "x"), ("delta0", ["x"]), ("delta1", [[1]]), ("delta1", None)])
+def test_json_rejects_mistyped_fields(field, value):
+    data = {"vars": ["x"], "f": "x^2", "delta0": [["x"]], "delta1": [["x"]]}
+    assert mf_from_json(data).f == parse_poly("x^2", ("x",))
+    with pytest.raises(MFValidationError, match=field):
+        mf_from_json({**data, field: value})

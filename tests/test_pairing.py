@@ -8,7 +8,8 @@ import pytest
 
 from mfhrr import groebner, pairing
 from mfhrr.cli import main
-from mfhrr.groebner import ENV_MAX_SPAIRS, IsolatedSingularityError, check_isolated
+from mfhrr.groebner import (ENV_MAX_SPAIRS, IsolatedSingularityError, check_isolated,
+                            graph_basis)
 from mfhrr.hkrtrace import chern_form
 from mfhrr.hochschild import ChainError
 from mfhrr.homalg import _homology_half, euler_chi, is_koszul_regular
@@ -295,7 +296,7 @@ def test_non_isolated_entry_rejected_run_continues():
 
 def test_spair_budget_fails_entries_not_the_run(monkeypatch):
     # earlier tests cached the corpus's Groebner work; start from nothing
-    for cached in (check_isolated, is_koszul_regular, _homology_half):
+    for cached in (check_isolated, graph_basis, is_koszul_regular, _homology_half):
         cached.cache_clear()
     monkeypatch.setenv(ENV_MAX_SPAIRS, "20")
     rep = run_corpus(default_corpus(), suites=False)
