@@ -20,7 +20,9 @@ as the caller has.  Modulo an ideal (a) the a_k e_i join the graph module
 untagged, so the same tags carry the relations modulo (a)·F_r.  Each
 syzygy and certificate is verified once, exactly, against the caller's
 generators, modulo (a) by cofactors on a; a failed check raises
-VerificationError.
+VerificationError.  The tag block of such a basis is itself a Groebner
+basis of the kernel, so a subquotient of a kernel needs one more basis
+only, of the submodule, and counts the lead terms between the two.
 
 The engine takes ordinary polynomials only: a negative exponent raises
 LaurentError where a polynomial enters it.
@@ -521,8 +523,10 @@ def module_kernel(matrix, ideal=()):
     Returns a list of length-s tuples of Poly, the tag-block elements of
     one graph basis of the columns with the ideal adjoined untagged (see
     GraphBasis).  Under position-over-term with the main block first this
-    is an elimination order, so they generate the whole module; each one
-    is verified, modulo the ideal through cofactors on the ideal.
+    is an elimination order, so they are a reduced Groebner basis of the
+    whole module, in the engine's order on F_s (what subquotient_dim
+    takes); each one is verified, modulo the ideal through cofactors on
+    the ideal.
     """
     r = len(matrix)
     if r == 0:
@@ -539,9 +543,16 @@ def module_kernel(matrix, ideal=()):
 def subquotient_dim(ker_gens, im_gens) -> int:
     """Rational dimension of (span ker_gens) / (span im_gens).
 
-    Raises NonContainmentError if some im generator is outside the span of
-    the ker generators, InfiniteDimensionError if the quotient is not
-    finite dimensional.
+    Precondition: ker_gens is a Groebner basis of its span in the engine's
+    order (degrevlex, position over term, lower component first), as
+    module_kernel returns it; its elements need not be monic.  Each image
+    generator is reduced to zero against that basis, or NonContainmentError
+    is raised; a zero remainder writes the generator as a combination of
+    ker_gens, so containment is proved whatever ker_gens is.  Then one
+    Groebner basis of the image is built, and by Macaulay's basis theorem
+    the dimension is the number of lead terms of the kernel module that
+    are not lead terms of the image module.  InfiniteDimensionError is
+    raised when that number is infinite.
     """
     ker_gens = list(ker_gens)
     im_gens = list(im_gens)
@@ -551,28 +562,55 @@ def subquotient_dim(ker_gens, im_gens) -> int:
             if any(not p.is_zero() for p in polys):
                 raise NonContainmentError(f"generator {i} lies outside the zero module")
         return 0
-    # the quotient is F_s modulo the syzygies of ker_gens and the lifts of
-    # im_gens, all read off one graph basis
-    graph = GraphBasis(ker_gens)
-    relations = graph.syzygies()
-    for idx, v in enumerate(im_gens):
-        try:
-            lift = graph.cofactors(v)
-        except NotInIdealError:
+    _, variables, ncomp = _gens_info(ker_gens)
+    ker = _Basis("degrevlex")
+    for g in ker_gens:
+        vec = _to_vec(g, ncomp)
+        if vec:
+            ker.add(vec)
+    image = []
+    for idx, g in enumerate(im_gens):
+        vec = _to_vec(g, ncomp)
+        if _reduce_full(vec, ker):
             raise NonContainmentError(
-                f"generator {idx} of the submodule is not contained in the module"
-            ) from None
-        if any(not p.is_zero() for p in lift):
-            relations.append(lift)
-    if not relations:
-        # quotient is free of rank s: finite only if s == 0
-        raise InfiniteDimensionError("subquotient contains a free module")
-    gb = buchberger(relations)
-    try:
-        qb = quotient_basis(gb)
-    except NotZeroDimensionalError as e:
-        raise InfiniteDimensionError(str(e)) from None
-    return len(qb)
+                f"generator {idx} of the submodule is not contained in the module")
+        if vec:
+            image.append(vec)
+    im, _ = _buchberger_raw(image, "degrevlex", ncomp == 1)
+    return _lead_gap(ker.leads, im.leads, variables)
+
+
+def _lead_gap(big, small, variables) -> int:
+    """#(LT(big) minus LT(small)) for the monomial modules generated by two
+    lists of (component, monomial) leads, LT(small) inside LT(big).
+
+    Infinite exactly when some lead g of big and some variable x_i leave
+    g x_i^t outside LT(small) for every t, i.e. no lead h of small in g's
+    component has h_k <= g_k for every k != i; InfiniteDimensionError then.
+    Otherwise the monomials are counted by walking up from each g until a
+    lead of small divides.
+    """
+    nvars = len(variables)
+    walls: dict[int, list] = {}
+    for comp, h in small:
+        walls.setdefault(comp, []).append(h)
+    seen = set()
+    for comp, g in big:
+        hs = walls.get(comp, [])
+        for i in range(nvars):
+            if not any(all(h[k] <= g[k] for k in range(nvars) if k != i) for h in hs):
+                raise InfiniteDimensionError(
+                    f"component {comp}: the kernel lead {g} times every power "
+                    f"of {variables[i]} lies outside the image")
+        stack = [g]
+        while stack:
+            m = stack.pop()
+            if (comp, m) in seen or any(_mono_divides(h, m) for h in hs):
+                continue
+            seen.add((comp, m))
+            for i in range(nvars):
+                stack.append(m[:i] + (m[i] + 1,) + m[i + 1:])
+    return len(seen)
 
 
 # -- isolated singularity validation ------------------------------------------

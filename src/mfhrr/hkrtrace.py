@@ -24,9 +24,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from .hochschild import Chain, ChainError, UChain
-from .polyring import DiffForm, FormSeries, Poly
+from .polyring import DiffForm, FormSeries, Poly, wedge_sign
 
 
 # -- form-valued matrices --------------------------------------------------
@@ -81,24 +82,34 @@ class MatrixForm:
         self._check(other)
         by_row = {}
         for (j, k), form in other.entries.items():
-            by_row.setdefault(j, []).append((k, form))
-        out = {}
+            by_row.setdefault(j, []).append((k, form.comps))
+        # each entry accumulates as {dx index: {monomial: coefficient}}
+        acc = {}
         for (i, j), left in self.entries.items():
             cols = by_row.get(j)
             if not cols:
                 continue
-            even, odd = left.split_by_parity()
             for k, right in cols:
-                term = even.wedge(right) if not even.is_zero() else None
-                if not odd.is_zero():
-                    piece = odd.wedge(right)
-                    if (self.parities[j] + self.parities[k]) % 2:
-                        piece = -piece
-                    term = piece if term is None else term + piece
-                if term is None or term.is_zero():
-                    continue
-                key = (i, k)
-                out[key] = out.get(key, DiffForm.zero(self.vars)) + term
+                flip = (self.parities[j] + self.parities[k]) % 2
+                entry = acc.setdefault((i, k), {})
+                for i1, p1 in left.comps.items():
+                    odd = flip and len(i1) % 2
+                    for i2, p2 in right.items():
+                        merged = wedge_sign(i1, i2)
+                        if merged is None:
+                            continue
+                        sign, idx = merged
+                        if odd:
+                            sign = -sign
+                        terms = entry.setdefault(idx, {})
+                        for m1, c1 in p1.terms.items():
+                            for m2, c2 in p2.terms.items():
+                                m = tuple(map(add, m1, m2))
+                                terms[m] = terms.get(m, 0) + sign * c1 * c2
+        # DiffForm drops zero components and MatrixForm zero entries
+        out = {key: DiffForm(self.vars, {idx: Poly(self.vars, terms)
+                                         for idx, terms in entry.items()})
+               for key, entry in acc.items()}
         return MatrixForm(self.vars, self.parities, out)
 
     def supertrace(self):

@@ -1,11 +1,14 @@
 """Ext dimensions and Euler characteristics of matrix factorizations.
 
 The shipping routes are exact: kernels are computed as syzygy modules
-(modulo the ideal, on the Koszul route: module_kernel(d, a)) and each
-homology dimension is a subquotient dimension over the polynomial ring.  Ext(P, Q) is the homology of hom_complex(P, Q), or, when P is a
-Koszul factorization K(a, b) with a regular, the homology of Q reduced
-mod (a), a complex rank(P) times smaller (see ext_dims).  Taking the
-subquotient lifts every image generator into the kernel, so it also
+(modulo the ideal, on the Koszul route: module_kernel(d, a)), which come
+out as Groebner bases, and each homology dimension is a subquotient
+dimension over the polynomial ring, counted as the kernel's lead terms
+outside the lead terms of one Groebner basis of the image.  Ext(P, Q) is
+the homology of hom_complex(P, Q), or, when P is a Koszul factorization
+K(a, b) with a regular, the homology of Q reduced mod (a), a complex
+rank(P) times smaller (see ext_dims).  Taking the subquotient reduces
+every image generator to zero modulo the kernel's basis, so it also
 proves d^2 = 0 exactly (modulo the ideal, on the Koszul route); this is
 the one place where a complex is checked to be one.  A degree-truncated
 dense linear algebra routine over the Hom complex is kept alongside as an
@@ -65,13 +68,17 @@ def homology_dims(C: Z2Complex, ideal=()):
     H0 = {v : d0 v in (ideal) C1} / (im d1 + (ideal) C0), and H1 likewise;
     with no ideal these are ker d0 / im d1 and ker d1 / im d0.  Each half is
     computed by _homology_half, cached by content: a shifted complex, or
-    K(b, a) after K(a, b), gets the same two halves swapped.  Each column
-    of d1 is lifted into the kernel of d0 and each column of d0 into the
-    kernel of d1, and every lift is verified, so dimensions come back only
-    for a complex modulo the ideal, and d^2 = 0 is proved once for each
-    distinct half: if d0 d1 or d1 d0 is not in the ideal this raises
-    NonContainmentError (or InfiniteDimensionError, when H0 is already
-    infinite), and errors are not cached.
+    K(b, a) after K(a, b), gets the same two halves swapped.  Each half
+    builds two Groebner bases: the graph basis in module_kernel, whose tag
+    block is a Groebner basis of the kernel, and one basis of the image;
+    its dimension is the number of kernel lead terms that are not image
+    lead terms.  Each column of d1 (and each a_k e_j) is reduced to zero
+    modulo the kernel basis of d0, and each column of d0 modulo that of
+    d1, so dimensions come back only for a complex modulo the ideal, and
+    d^2 = 0 is proved once for each distinct half: if d0 d1 or d1 d0 is
+    not in the ideal this raises NonContainmentError (or
+    InfiniteDimensionError, when H0 is already infinite), and errors are
+    not cached.
     """
     h0, k0 = _homology_half(C.vars, C.d0, C.d1, tuple(ideal), C.rank0)
     h1, k1 = _homology_half(C.vars, C.d1, C.d0, tuple(ideal), C.rank1)

@@ -341,14 +341,28 @@ def mf_to_json(P: MatrixFactorization) -> dict:
     }
 
 
+def json_polys(what, seq, variables) -> list:
+    """A JSON list of polynomial strings as Poly; anything else, a string
+    included, raises MFValidationError naming ``what``."""
+    if not isinstance(seq, list) or not all(isinstance(s, str) for s in seq):
+        raise MFValidationError(f"{what} must be a list of polynomial strings")
+    return [parse_poly(s, variables) for s in seq]
+
+
 def _json_matrix(name, rows, variables):
     """A JSON matrix field as rows of Poly."""
-    if not (isinstance(rows, list)
-            and all(isinstance(row, list) and all(isinstance(s, str) for s in row)
-                    for row in rows)):
-        raise MFValidationError(f'"{name}" must be a list of rows, each a list '
-                                "of polynomial strings")
-    return [[parse_poly(s, variables) for s in row] for row in rows]
+    if not isinstance(rows, list):
+        raise MFValidationError(f'"{name}" must be a list of rows')
+    return [json_polys(f'each row of "{name}"', row, variables) for row in rows]
+
+
+def json_variables(names) -> tuple:
+    """A JSON "vars" field as a tuple of distinct variable names."""
+    if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
+        raise MFValidationError('"vars" must be a list of variable names')
+    if len(set(names)) != len(names):
+        raise MFValidationError(f'"vars" repeats a variable name: {names}')
+    return tuple(names)
 
 
 def mf_from_json(data: dict) -> MatrixFactorization:
@@ -362,11 +376,9 @@ def mf_from_json(data: dict) -> MatrixFactorization:
         names, f, d0, d1 = data["vars"], data["f"], data["delta0"], data["delta1"]
     except KeyError as e:
         raise MFValidationError(f"missing field {e} in matrix factorization JSON") from None
-    if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
-        raise MFValidationError('"vars" must be a list of variable names')
+    variables = json_variables(names)
     if not isinstance(f, str):
         raise MFValidationError('"f" must be a polynomial string')
-    variables = tuple(names)
     return MatrixFactorization(variables, parse_poly(f, variables),
                                _json_matrix("delta0", d0, variables),
                                _json_matrix("delta1", d1, variables))

@@ -41,6 +41,8 @@ from .mfcat import (
     MFValidationError,
     direct_sum_mf,
     dual_mf,
+    json_polys,
+    json_variables,
     koszul_mf,
     mf_from_json,
     shift_mf,
@@ -204,8 +206,10 @@ def default_corpus() -> list:
 def _load_entry_mf(spec, variables) -> MatrixFactorization:
     if isinstance(spec, dict) and "koszul" in spec:
         data = spec["koszul"]
-        a = [parse_poly(s, variables) for s in data["a"]]
-        b = [parse_poly(s, variables) for s in data["b"]]
+        if not isinstance(data, dict):
+            raise MFValidationError('"koszul" must be an object with "a" and "b"')
+        a, b = (json_polys(f'"koszul" "{key}"', data[key], variables)
+                for key in ("a", "b"))
         return koszul_mf(variables, a, b)
     return mf_from_json(spec)
 
@@ -236,7 +240,7 @@ def _run_entry(entry, only_checks=None, timings=False) -> dict:
 
 def _entry_checks(entry, only_checks) -> dict:
     out = {"pass": True}
-    variables = tuple(entry["vars"])
+    variables = json_variables(entry["vars"])
     f = parse_poly(entry["f"], variables)
     check_isolated(f)
     mfs = [_load_entry_mf(s, variables) for s in entry.get("mfs", [])]

@@ -11,6 +11,7 @@ residue entry points reject them with LaurentError.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -352,8 +353,11 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
 
 # -- differential forms ----------------------------------------------------
 
+@lru_cache(maxsize=None)
 def wedge_sign(left: tuple[int, ...], right: tuple[int, ...]):
-    """Merge two ascending index tuples; return (sign, merged) or None."""
+    """Merge two ascending index tuples; return (sign, merged) or None.
+
+    Cached: over n variables there are at most 4^n index pairs."""
     if set(left) & set(right):
         return None
     inversions = 0

@@ -121,6 +121,16 @@ def test_validate_rejects_string_matrix(tmp_path, capsys):
     assert err.startswith("error:") and "delta0" in err
 
 
+def test_validate_rejects_repeated_vars(tmp_path, capsys):
+    # both "x" used to parse to the second slot, and the file passed
+    bad = tmp_path / "repeated.json"
+    bad.write_text(json.dumps(
+        {"vars": ["x", "x"], "f": "x^2", "delta0": [["x"]], "delta1": [["x"]]}))
+    code, out, err = run_cli(capsys, "validate", "--mf", str(bad))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "vars" in err
+
+
 @pytest.mark.parametrize("flag,command", [("--mf", "validate"), ("--p", "ext"),
                                           ("--p", "pair"), ("--mf", "chern")])
 def test_mistyped_vars_is_an_error_not_a_traceback(tmp_path, capsys, flag, command):

@@ -258,6 +258,49 @@ def test_identity_neutral():
     assert I.mul(A).entries == A.entries
 
 
+def _entrywise_mul(A, B):
+    """MatrixForm.mul as it used to run, kept as the reference: per entry
+    pair, split the left form by parity, wedge both halves onto the right
+    entry, negate the odd half when the right entry is odd, and add the
+    DiffForms up."""
+    out = {}
+    for (i, j), left in A.entries.items():
+        even, odd = left.split_by_parity()
+        for (j2, k), right in B.entries.items():
+            if j2 != j:
+                continue
+            piece = odd.wedge(right)
+            if (A.parities[j] + A.parities[k]) % 2:
+                piece = -piece
+            out[(i, k)] = out.get((i, k), DiffForm.zero(A.vars)) + even.wedge(right) + piece
+    return MatrixForm(A.vars, A.parities, out)
+
+
+def _random_mixed_matrix(rng, variables, parities):
+    """Sparse entries of every form degree, odd ones included, regardless
+    of the row and column parities."""
+    n = len(parities)
+    degrees = list(range(len(variables) + 1))
+    entries = {}
+    for i in range(n):
+        for j in range(n):
+            if rng.random() < 0.6:
+                entries[(i, j)] = _random_form(
+                    rng, variables, rng.sample(degrees, rng.randint(1, len(degrees))))
+    return MatrixForm(variables, parities, entries)
+
+
+def test_mul_matches_entrywise_reference():
+    rng = random.Random(1402)
+    xyz = ("x", "y", "z")
+    for parities in ((0, 0, 1, 1), (0, 0, 0, 0, 1, 1, 1, 1)):
+        for variables in (XY, xyz):
+            for _ in range(4):
+                A = _random_mixed_matrix(rng, variables, parities)
+                B = _random_mixed_matrix(rng, variables, parities)
+                assert A.mul(B) == _entrywise_mul(A, B)
+
+
 # ---- Chern forms -------------------------------------------------------------
 
 

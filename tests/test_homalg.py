@@ -400,3 +400,37 @@ def test_complementary_split_reuses_both_halves(monkeypatch):
     kernels = first.provenance["kernel_generators"]
     assert second.provenance["kernel_generators"] == kernels[::-1]
     assert (second.dim_ext0, second.dim_ext1) == (first.dim_ext1, first.dim_ext0)
+
+
+@pytest.mark.parametrize("route", ["koszul", "hom_complex"])
+def test_each_homology_half_builds_two_bases(monkeypatch, route):
+    # module_kernel's graph basis, then the image basis in subquotient_dim;
+    # the sequence's own graph basis is shared and built beforehand
+    if route == "koszul":
+        xyz = ("x", "y", "z")
+        src = koszul_mf(xyz, [pp(s, xyz) for s in ("x", "y^2", "z")],
+                        [pp(s, xyz) for s in ("x", "y", "z^2")])
+        Q = koszul_mf(xyz, [pp(s, xyz) for s in ("x^2", "y", "z")],
+                      [pp(s, xyz) for s in ("1", "y^2", "z^2")])
+        C, ideal = Z2Complex(xyz, Q.delta0, Q.delta1), src.koszul
+        groebner.graph_basis(ideal)
+    else:
+        d4 = ["y", "(x - y)", "(x + y)"]
+        C, ideal = hom_complex(_split(d4, 0b001, XY), _split(d4, 0b010, XY)), ()
+    _homology_half.cache_clear()
+    calls = []
+    real = groebner._buchberger_raw
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_buchberger_raw", counted)
+    homology_dims(C, ideal)
+    # per half: the graph module of d_out carries tags past d_out's rows,
+    # the image lives on d_out's source
+    assert len(calls) == 4
+    for (graph, image), source, rows in (((calls[0], calls[1]), C.rank0, C.rank1),
+                                         ((calls[2], calls[3]), C.rank1, C.rank0)):
+        assert max(c for v in graph[0] for c, _ in v) >= rows
+        assert max(c for v in image[0] for c, _ in v) < source

@@ -307,6 +307,23 @@ def test_spair_budget_fails_entries_not_the_run(monkeypatch):
                for e in failed)
     assert rep["summary"]["pass"] is False
 
+def test_string_koszul_sequence_and_repeated_vars_fail_alone():
+    # "x" used to be read as the sequence of its characters, here K(x, y);
+    # repeated names used to map every "x" to the last slot
+    entries = [{"name": "string a", "vars": ["x", "y"], "f": "x*y",
+                "mfs": [{"koszul": {"a": "x", "b": "y"}}]},
+               {"name": "repeated vars", "vars": ["x", "x"], "f": "x^2",
+                "mfs": [{"koszul": {"a": ["x"], "b": ["x"]}}]},
+               {"name": "good", "vars": ["x", "y"], "f": "x*y",
+                "mfs": [{"koszul": {"a": ["x"], "b": ["y"]}}]}]
+    rep = run_corpus(entries, suites=False)
+    bad_a, bad_vars, good = rep["entries"]
+    assert bad_a["pass"] is False and bad_a["error"].startswith("MFValidationError")
+    assert '"a"' in bad_a["error"]
+    assert bad_vars["pass"] is False and bad_vars["error"].startswith("MFValidationError")
+    assert good["pass"] is True
+
+
 def test_mismatched_entry_potential_rejected():
     entries = [{"name": "wrong", "vars": ["x", "y"], "f": "x*y",
                 "mfs": [{"koszul": {"a": ["x", "y"], "b": ["x", "y^2"]}}]}]
