@@ -19,7 +19,7 @@ import sys
 from .groebner import ENV_MAX_SPAIRS
 from .hkrtrace import chern_form
 from .homalg import ext_dims
-from .mfcat import koszul_mf, mf_from_json, mf_to_json
+from .mfcat import json_variables, koszul_mf, mf_from_json, mf_to_json
 from .pairing import (
     calibrate_sign,
     canonical_pairing_u0,
@@ -102,10 +102,11 @@ def infer_vars(*strings) -> tuple:
 
 
 def _split_vars(spec: str) -> tuple:
-    out = tuple(v.strip() for v in spec.split(",") if v.strip())
+    """--vars as distinct names, by the rule of a JSON "vars" field."""
+    out = [v.strip() for v in spec.split(",") if v.strip()]
     if not out:
         raise ValueError("empty --vars")
-    return out
+    return json_variables(out)
 
 
 def _split_polys(spec: str) -> list:

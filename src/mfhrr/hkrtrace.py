@@ -147,15 +147,19 @@ class MatrixForm:
 # -- the trace map ----------------------------------------------------------
 
 
-def _letter_matrix(pres, atom):
-    mono, idx = atom
+@lru_cache(maxsize=None)
+def _letter_forms(pres, letter):
+    """A letter's matrix and its primed matrix, built once per
+    (presentation, letter id) and shared: callers only multiply them."""
+    mono, idx = pres.alphabet.atoms[letter]
     scale = Poly.monomial(pres.variables, mono)
     entries = {}
     for r, row in enumerate(pres.basis[idx]):
         for s, c in enumerate(row):
             if c:
                 entries[(r, s)] = DiffForm.from_poly(scale * c)
-    return MatrixForm(pres.variables, pres.module_parities, entries)
+    matrix = MatrixForm(pres.variables, pres.module_parities, entries)
+    return matrix, matrix.prime()
 
 
 @lru_cache(maxsize=None)
@@ -183,14 +187,14 @@ def _compositions(total, slots):
             yield (head,) + rest
 
 
-def _word_trace(pres, atoms, rpow):
+def _word_trace(pres, word, rpow):
     nv = len(pres.variables)
-    n = len(atoms) - 1
+    n = len(word) - 1
     total = DiffForm.zero(pres.variables)
     if n > nv:
         return total
-    head = _letter_matrix(pres, atoms[0])
-    primes = [_letter_matrix(pres, a).prime() for a in atoms[1:]]
+    head = _letter_forms(pres, word[0])[0]
+    primes = [_letter_forms(pres, x)[1] for x in word[1:]]
     if any(p.is_zero() for p in primes):
         return total
     for J in range(nv - n + 1):
@@ -237,8 +241,8 @@ def _trace_components(chain, order):
     for upow, part in parts:
         if upow >= order:
             break
-        for (alphas, atoms), coeff in part.terms.items():
-            value = _word_trace(pres, atoms, rpow)
+        for (alphas, word), coeff in part.terms.items():
+            value = _word_trace(pres, word, rpow)
             if value.is_zero():
                 continue
             forms = buckets.setdefault(

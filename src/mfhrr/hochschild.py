@@ -17,6 +17,13 @@ Normalization is a quotient and is applied eagerly: words holding an
 identity-multiple letter in a slot past the first are dropped.  In scalar
 mode only rational multiples of the identity are killed, in module mode any
 monomial multiple is.
+
+A chain stores each word as (alphas, (a0, ..., an)) with every letter an
+int id in its presentation's Alphabet, so the operators build and hash flat
+tuples of ints; the alphabet keeps each letter's atom (monomial, basis
+index) and memoizes letter products and differentials.  Atom words appear
+only where chains meet the outside: the Chain constructor takes them and
+Chain.words() gives them back.
 """
 from __future__ import annotations
 
@@ -50,16 +57,17 @@ class AlgebraPresentation:
     basis[0] is the identity.  mult maps an index pair to the expansion of
     the product; diff maps an index to d(basis elt) as (monomial, index,
     coefficient) triples.  curvature, when nonempty, switches on the b0 part
-    of the Hochschild differential.
+    of the Hochschild differential.  factors is (A, B) for A (x) B, else
+    None.  alphabet interns the letters that chains over it use.
     """
 
     __slots__ = ("variables", "module_parities", "basis", "parity", "mult",
                  "diff", "curvature", "normalization", "names", "display",
-                 "laurent", "label", "source")
+                 "laurent", "label", "source", "factors", "alphabet")
 
     def __init__(self, variables, module_parities, basis, parity, mult, diff,
                  curvature, normalization, names, display, laurent, label,
-                 source=None):
+                 source=None, factors=None):
         if normalization not in ("scalar", "module"):
             raise ChainError(f"unknown normalization mode {normalization!r}")
         self.variables = tuple(variables)
@@ -78,6 +86,8 @@ class AlgebraPresentation:
         self.laurent = frozenset(laurent)
         self.label = label
         self.source = source
+        self.factors = factors
+        self.alphabet = Alphabet(self)
 
     def __repr__(self):
         return f"<algebra {self.label}: {len(self.parity)} basis elements>"
@@ -111,6 +121,174 @@ class AlgebraPresentation:
 
     def zero(self):
         return Chain(self, {})
+
+
+class Alphabet:
+    """The letters of one presentation, interned as small ints.
+
+    A letter is a (monomial, basis index) pair.  letter() numbers it the
+    first time it is seen and records what the operators read per letter:
+    its atom, its shifted parity and whether normalization kills it past
+    slot 0.  Products, differentials and the other letter maps are built
+    on demand and kept, so each monomial addition happens once per letter
+    or letter pair, not once per term.  The tables only grow with the
+    letters and letter pairs that chains actually use.
+    """
+
+    __slots__ = ("pres", "module", "ids", "atoms", "spar", "dead", "one",
+                 "curvature", "_mul", "_lead_diff", "_entry_diff", "_onto",
+                 "_split", "_embed", "_star")
+
+    def __init__(self, pres):
+        self.pres = pres
+        self.module = pres.normalization == "module"
+        self.ids = {}
+        self.atoms = []
+        self.spar = []
+        self.dead = []
+        self._mul = []           # per letter x: {y: x y as ((letter, c), ...)}
+        self._lead_diff = []     # per letter: d in slot 0, ((letter, c), ...)
+        self._entry_diff = []    # per letter: d past slot 0, as _entry_rows
+        self._onto = []          # per letter: {identity letter: its product}
+        self._split = []         # per letter: (identity part or None, bare)
+        self._embed = ({}, {})   # tensor factor letter -> letter, per side
+        self._star = {}          # target -> {letter: x* over target}
+        self.one = self.letter(_zero_mono(len(pres.variables)), 0)
+        self.curvature = self._entry_rows(pres.curvature)
+
+    def letter(self, mono, idx):
+        """The id of the letter mono . basis[idx]."""
+        key = (mono, idx)
+        x = self.ids.get(key)
+        if x is None:
+            x = self.ids[key] = len(self.atoms)
+            self.atoms.append(key)
+            self.spar.append((self.pres.parity[idx] + 1) & 1)
+            self.dead.append(idx == 0 and (self.module or not any(mono)))
+            self._mul.append({})
+            self._lead_diff.append(None)
+            self._entry_diff.append(None)
+            self._onto.append({})
+            self._split.append(None)
+        return x
+
+    def product(self, x, y):
+        """The product x y as ((letter, c), ...)."""
+        row = self._mul[x]
+        out = row.get(y)
+        if out is None:
+            (mx, ix), (my, iy) = self.atoms[x], self.atoms[y]
+            mono = _mono_add(mx, my)
+            out = row[y] = tuple((self.letter(mono, k), c)
+                                 for k, c in self.pres.mult[(ix, iy)])
+        return out
+
+    def lead_diff(self, x):
+        """d(x) in the leading slot, as ((letter, c), ...)."""
+        out = self._lead_diff[x]
+        if out is None:
+            m, i = self.atoms[x]
+            out = self._lead_diff[x] = tuple(
+                (self.letter(_mono_add(m, mono), k), c)
+                for mono, k, c in self.pres.diff[i])
+        return out
+
+    def entry_diff(self, x):
+        """d(x) in a slot past the first, as _entry_rows."""
+        out = self._entry_diff[x]
+        if out is None:
+            m, i = self.atoms[x]
+            out = self._entry_diff[x] = self._entry_rows(
+                (_mono_add(m, mono), k, c) for mono, k, c in self.pres.diff[i])
+        return out
+
+    def _entry_rows(self, rows):
+        """(mono, index, c) rows bound for a slot past the first, as
+        (letter, moved, c): rows that normalization kills are dropped, and
+        in module mode a monomial leaves the slot as the identity letter
+        moved, which goes onto a0 (moved is None when nothing moves)."""
+        out = []
+        for mono, k, c in rows:
+            if k == 0 and (self.module or not any(mono)):
+                continue
+            if self.module and any(mono):
+                out.append((self.letter(_zero_mono(len(mono)), k),
+                            self.letter(mono, 0), c))
+            else:
+                out.append((self.letter(mono, k), None, c))
+        return tuple(out)
+
+    def onto(self, x, moved):
+        """The letter x with the monomial of the identity letter moved
+        multiplied on."""
+        row = self._onto[x]
+        out = row.get(moved)
+        if out is None:
+            (m, i), (mm, _) = self.atoms[x], self.atoms[moved]
+            out = row[moved] = self.letter(_mono_add(m, mm), i)
+        return out
+
+    def split(self, x):
+        """(x's monomial as an identity letter, or None when it has none;
+        x's basis element as a letter with no monomial)."""
+        out = self._split[x]
+        if out is None:
+            m, i = self.atoms[x]
+            if any(m):
+                out = (self.letter(m, 0), self.letter(_zero_mono(len(m)), i))
+            else:
+                out = (None, x)
+            self._split[x] = out
+        return out
+
+    def canon(self, word):
+        """A word of letter ids in canonical form, or None when
+        normalization kills it; in module mode every monomial past slot 0
+        moves onto a0."""
+        dead = self.dead
+        if not self.module:
+            for x in word[1:]:
+                if dead[x]:
+                    return None
+            return word
+        lead, rest = word[0], []
+        for x in word[1:]:
+            if dead[x]:
+                return None
+            moved, bare = self.split(x)
+            if moved is not None:
+                lead = self.onto(lead, moved)
+            rest.append(bare)
+        return (lead, *rest)
+
+    def embed(self, side, word):
+        """The letters of a word over factor side (0 or 1) of this tensor
+        presentation, as letters here."""
+        table = self._embed[side]
+        factors = self.pres.factors
+        out = []
+        for x in word:
+            y = table.get(x)
+            if y is None:
+                m, i = factors[side].alphabet.atoms[x]
+                if side == 0:
+                    i *= len(factors[1].parity)
+                y = table[x] = self.letter(m, i)
+            out.append(y)
+        return tuple(out)
+
+    def star(self, target, x):
+        """x* over target, as ((letter, c), ...) (see star_map)."""
+        row = self._star.get(target)
+        if row is None:
+            row = self._star[target] = {}
+        out = row.get(x)
+        if out is None:
+            m, i = self.atoms[x]
+            letter = target.alphabet.letter
+            out = row[x] = tuple((letter(m, k), c)
+                                 for k, c in star_map(self.pres, target)[i])
+        return out
 
 
 def _expand_const(matrix, nbasis_layout):
@@ -356,7 +534,7 @@ def tensor_presentation(A: AlgebraPresentation, B: AlgebraPresentation):
     return AlgebraPresentation(
         A.variables, None, None, parity, mult, diff, curvature,
         A.normalization, names, display, A.laurent | B.laurent,
-        f"({A.label})(x)({B.label})")
+        f"({A.label})(x)({B.label})", factors=(A, B))
 
 
 # -- chains ---------------------------------------------------------------------
@@ -374,12 +552,29 @@ def _add_term(out, key, coeff):
         del out[key]
 
 
-class Chain:
-    """Finite combination of words (alphas, (a0, a1, ..., an)).
+def _put(out, key, v):
+    """_add_term for the operators: v is a nonzero int or Fraction, so the
+    only form fix left is a Fraction that came out integral."""
+    cur = out.get(key)
+    if cur is not None:
+        v += cur
+        if not v:
+            del out[key]
+            return
+    if type(v) is Fraction and v.denominator == 1:
+        v = v.numerator
+    out[key] = v
 
-    terms maps each word to a nonzero coefficient, an int when it is
-    integral and a Fraction otherwise (never a float, never a Fraction with
-    denominator 1); every constructor and operator keeps that form.
+
+class Chain:
+    """Finite combination of words alphas . a0[a1|...|an].
+
+    terms maps each word (alphas, (a0, a1, ..., an)) to a nonzero
+    coefficient, an int when it is integral and a Fraction otherwise (never
+    a float, never a Fraction with denominator 1); every constructor and
+    operator keeps that form.  The letters a_i are ids in the
+    presentation's alphabet; the constructor takes words of atoms
+    (monomial, basis index) and words() gives them back.
 
     In module mode the complex is relative to the polynomial ring, so
     monomial factors are central scalars: the canonical form collects them
@@ -390,51 +585,39 @@ class Chain:
     __slots__ = ("pres", "terms")
 
     def __init__(self, pres, terms):
-        module_mode = pres.normalization == "module"
+        alphabet = pres.alphabet
+        letter = alphabet.letter
         clean = {}
-        for key, coeff in terms.items():
-            if self._killed(pres, key[1], module_mode):
-                continue
-            if module_mode and len(key[1]) > 1:
-                key = (key[0], self._collect(key[1]))
-            _add_term(clean, key, coeff)
+        for (alphas, atoms), coeff in terms.items():
+            word = alphabet.canon(tuple(letter(mono, idx) for mono, idx in atoms))
+            if word is not None:
+                _add_term(clean, (alphas, word), coeff)
         self.pres = pres
         self.terms = clean
 
-    @staticmethod
-    def _killed(pres, atoms, module_mode):
-        for mono, idx in atoms[1:]:
-            if idx == 0 and (module_mode or not any(mono)):
-                return True
-        return False
-
-    @staticmethod
-    def _collect(atoms):
-        total = atoms[0][0]
-        zero = _zero_mono(len(total))
-        rest = []
-        for mono, idx in atoms[1:]:
-            total = _mono_add(total, mono)
-            rest.append((zero, idx))
-        return ((total, atoms[0][1]), *rest)
-
     @classmethod
     def canonical(cls, pres, terms):
-        """Wrap terms that are already in canonical form: nonzero
-        coefficients, no killed word, monomials collected in module mode.
-        The operators below keep that form, so they skip the
-        normalization pass of the constructor."""
+        """Wrap terms whose words are letter ids already in canonical form:
+        nonzero coefficients, no killed word, monomials collected in module
+        mode.  The operators below write that form directly."""
         chain = object.__new__(cls)
         chain.pres = pres
         chain.terms = terms
         return chain
+
+    def words(self):
+        """The terms as ((alphas, atoms), coeff), each letter decoded to
+        its atom (monomial, basis index)."""
+        atoms = self.pres.alphabet.atoms
+        for (alphas, word), coeff in self.terms.items():
+            yield (alphas, tuple(map(atoms.__getitem__, word))), coeff
 
     def __add__(self, other):
         if other.pres is not self.pres:
             raise ChainError("chains over different presentations")
         out = dict(self.terms)
         for key, coeff in other.terms.items():
-            _add_term(out, key, coeff)
+            _put(out, key, coeff)
         return Chain.canonical(self.pres, out)
 
     def __sub__(self, other):
@@ -452,21 +635,22 @@ class Chain:
 
     def mul_mono(self, mono):
         """Multiply by a central monomial (lands on the a0 slot)."""
+        alphabet = self.pres.alphabet
+        moved = alphabet.letter(mono, 0)
         out = {}
-        for (alphas, atoms), coeff in self.terms.items():
-            a0 = (_mono_add(atoms[0][0], mono), atoms[0][1])
-            out[(alphas, (a0,) + atoms[1:])] = coeff
+        for (alphas, word), coeff in self.terms.items():
+            out[(alphas, (alphabet.onto(word[0], moved),) + word[1:])] = coeff
         return Chain.canonical(self.pres, out)
 
     def with_alpha(self, index):
         """Left-wedge by the Cech symbol alpha_index."""
         out = {}
-        for (alphas, atoms), coeff in self.terms.items():
+        for (alphas, word), coeff in self.terms.items():
             if index in alphas:
                 continue
             if sum(1 for a in alphas if a < index) % 2:
                 coeff = -coeff
-            out[(alphas | {index}, atoms)] = coeff
+            out[(alphas | {index}, word)] = coeff
         return Chain.canonical(self.pres, out)
 
     def is_zero(self):
@@ -485,7 +669,7 @@ class Chain:
             return "0"
         bits = []
         for (alphas, atoms), coeff in sorted(
-                self.terms.items(), key=lambda kv: (sorted(kv[0][0]), kv[0][1])):
+                self.words(), key=lambda kv: (sorted(kv[0][0]), kv[0][1])):
             head = "" if coeff == 1 else f"{coeff}*"
             pre = "".join(f"a{i}^" for i in sorted(alphas))
             a0 = self._atom_str(atoms[0])
@@ -506,11 +690,11 @@ class Chain:
 def chain_parity(chain: Chain):
     """Total Z/2 degree if every word agrees (|a0| plus the shifted entry
     degrees), else None."""
-    pres = chain.pres
+    parity = chain.pres.parity
     seen = set()
-    for _, atoms in chain.terms:
-        p = (pres.parity[atoms[0][1]]
-             + sum(pres.parity[i] + 1 for _, i in atoms[1:])) % 2
+    for (_, atoms), _ in chain.words():
+        p = (parity[atoms[0][1]]
+             + sum(parity[i] + 1 for _, i in atoms[1:])) % 2
         seen.add(p)
     if len(seen) == 1:
         return seen.pop()
@@ -538,11 +722,6 @@ def random_chain(pres, rng, *, max_len=4, max_exp=2, nterms=3, alphas=False):
 
 # -- the Hochschild differential and the Connes operator -------------------------
 
-def _mul_atoms(pres, x, y):
-    mono = _mono_add(x[0], y[0])
-    return [((mono, k), c) for k, c in pres.mult[(x[1], y[1])]]
-
-
 def _times(coeff, negc, c):
     """coeff * c, given negc = -coeff; table constants are mostly +-1."""
     if c == 1:
@@ -560,90 +739,72 @@ def b_op(chain: Chain) -> Chain:
     in module mode its monomial moves onto a0.  The other letters come from
     the canonical input and stay as they are.
     """
-    pres = chain.pres
-    module = pres.normalization == "module"
-    parity, mult, diff, curvature = pres.parity, pres.mult, pres.diff, pres.curvature
+    alphabet = chain.pres.alphabet
+    spar, dead, curvature = alphabet.spar, alphabet.dead, alphabet.curvature
+    mul, lead_diff, entry_diff = alphabet._mul, alphabet._lead_diff, alphabet._entry_diff
+    product, onto = alphabet.product, alphabet.onto
     out = {}
-    get = out.get
-
-    def put(key, v):
-        # _add_term without its zero test (every v here is nonzero), inlined
-        # because b_op makes most of the words in the tower
-        cur = get(key)
-        if cur is not None:
-            v += cur
-            if not v:
-                del out[key]
-                return
-        if type(v) is Fraction and v.denominator == 1:
-            v = v.numerator
-        out[key] = v
-
-    def put_letter(alphas, atoms, j, mono, k, v):
-        """The word atoms with slot j >= 1 replaced by the letter (mono, k)."""
-        if k == 0 and (module or not any(mono)):
-            return
-        if module and any(mono):
-            m0, i0 = atoms[0]
-            put((alphas, ((_mono_add(m0, mono), i0),) + atoms[1:j]
-                 + ((_zero_mono(len(mono)), k),) + atoms[j + 1:]), v)
-        else:
-            put((alphas, atoms[:j] + ((mono, k),) + atoms[j + 1:]), v)
-
-    for (alphas, atoms), coeff in chain.terms.items():
-        n = len(atoms) - 1
-        m0, i0 = atoms[0]
+    for (alphas, word), coeff in chain.terms.items():
+        n = len(word) - 1
+        a0 = word[0]
         negc = -coeff
         # shifted[j]: total shifted degree of the letters left of slot j
         shifted = [0] * (n + 2)
-        for j, (_, idx) in enumerate(atoms):
-            shifted[j + 1] = shifted[j] ^ ((parity[idx] + 1) & 1)
+        for j, x in enumerate(word):
+            shifted[j + 1] = shifted[j] ^ spar[x]
         # joins
         if n >= 1:
-            m1, i1 = atoms[1]
-            mono = _mono_add(m0, m1)
-            rest = atoms[2:]
-            neg = parity[i0] % 2
-            for k, c in mult[(i0, i1)]:
-                put((alphas, ((mono, k),) + rest),
-                    _times(coeff, negc, -c if neg else c))
+            rest = word[2:]
+            neg = not spar[a0]
+            terms = mul[a0].get(word[1])
+            if terms is None:
+                terms = product(a0, word[1])
+            for x, c in terms:
+                _put(out, (alphas, (x,) + rest), _times(coeff, negc, -c if neg else c))
             for j in range(1, n):
-                (mj, ij), (mk, ik) = atoms[j], atoms[j + 1]
-                mono = _mono_add(mj, mk)
-                neg = shifted[j + 1] ^ 1
-                head, tail = atoms[:j], atoms[j + 2:]
-                for k, c in mult[(ij, ik)]:
-                    if k == 0 and (module or not any(mono)):
-                        continue
-                    put((alphas, head + ((mono, k),) + tail),
-                        _times(coeff, negc, -c if neg else c))
-            mn, i_n = atoms[n]
-            mono = _mono_add(mn, m0)
-            middle = atoms[1:n]
-            neg = not ((parity[i_n] + 1) * (shifted[n] + 1)) % 2
-            for k, c in mult[(i_n, i0)]:
-                put((alphas, ((mono, k),) + middle),
-                    _times(coeff, negc, -c if neg else c))
+                neg = not shifted[j + 1]
+                head, tail = word[:j], word[j + 2:]
+                terms = mul[word[j]].get(word[j + 1])
+                if terms is None:
+                    terms = product(word[j], word[j + 1])
+                for x, c in terms:
+                    if not dead[x]:
+                        _put(out, (alphas, head + (x,) + tail),
+                             _times(coeff, negc, -c if neg else c))
+            middle = word[1:n]
+            neg = not (spar[word[n]] and not shifted[n])
+            terms = mul[word[n]].get(a0)
+            if terms is None:
+                terms = product(word[n], a0)
+            for x, c in terms:
+                _put(out, (alphas, (x,) + middle), _times(coeff, negc, -c if neg else c))
         # internal differential
-        rest = atoms[1:]
-        for mono, k, c in diff[i0]:
-            put((alphas, ((_mono_add(m0, mono), k),) + rest),
-                _times(coeff, negc, c))
+        rest = word[1:]
+        rows = lead_diff[a0]
+        if rows is None:
+            rows = alphabet.lead_diff(a0)
+        for x, c in rows:
+            _put(out, (alphas, (x,) + rest), _times(coeff, negc, c))
         for j in range(1, n + 1):
-            mj, ij = atoms[j]
+            rows = entry_diff[word[j]]
+            if rows is None:
+                rows = alphabet.entry_diff(word[j])
             neg = shifted[j]
-            for mono, k, c in diff[ij]:
-                put_letter(alphas, atoms, j, _mono_add(mj, mono), k,
-                           _times(coeff, negc, -c if neg else c))
+            head, tail = word[1:j], word[j + 1:]
+            for x, moved, c in rows:
+                lead = a0 if moved is None else onto(a0, moved)
+                _put(out, (alphas, (lead,) + head + (x,) + tail),
+                     _times(coeff, negc, -c if neg else c))
         # curvature insertions
         if curvature:
             for j in range(n + 1):
-                neg = shifted[j + 1] ^ 1
-                word = atoms[:j + 1] + (None,) + atoms[j + 1:]
-                for mono, k, c in curvature:
-                    put_letter(alphas, word, j + 1, mono, k,
-                               _times(coeff, negc, -c if neg else c))
-    return Chain.canonical(pres, out)
+                neg = not shifted[j + 1]
+                head, tail = word[1:j + 1], word[j + 1:]
+                for x, moved, c in curvature:
+                    lead = a0 if moved is None else onto(a0, moved)
+                    _put(out, (alphas, (lead,) + head + (x,) + tail),
+                         _times(coeff, negc, -c if neg else c))
+    return Chain.canonical(chain.pres, out)
 
 
 def B_op(chain: Chain) -> Chain:
@@ -652,30 +813,27 @@ def B_op(chain: Chain) -> Chain:
     a0 moves past the first slot, so a word whose a0 normalization kills
     there has B = 0; in module mode a0's monomial stays on the new leading
     identity letter."""
-    pres = chain.pres
-    module = pres.normalization == "module"
-    parity = pres.parity
-    zero = _zero_mono(len(pres.variables))
+    alphabet = chain.pres.alphabet
+    spar, dead, one = alphabet.spar, alphabet.dead, alphabet.one
     out = {}
-    for (alphas, atoms), coeff in chain.terms.items():
-        m0, i0 = atoms[0]
-        if i0 == 0 and (module or not any(m0)):
+    for (alphas, word), coeff in chain.terms.items():
+        a0 = word[0]
+        if dead[a0]:
             continue
-        if module:
-            lead = ((m0, 0),)
-            atoms = ((zero, i0),) + atoms[1:]
-        else:
-            lead = ((zero, 0),)
-        n = len(atoms) - 1
-        spar = [(parity[idx] + 1) % 2 for _, idx in atoms]
-        total = sum(spar) % 2
+        lead = (one,)
+        if alphabet.module:
+            moved, bare = alphabet.split(a0)
+            if moved is not None:
+                lead = (moved,)
+                word = (bare,) + word[1:]
+        total = sum(map(spar.__getitem__, word)) & 1
         before = 0
         negc = -coeff
-        for l in range(n + 1):
-            key = (alphas, lead + atoms[l:] + atoms[:l])
-            _add_term(out, key, negc if before and (total ^ before) else coeff)
-            before ^= spar[l]
-    return Chain.canonical(pres, out)
+        for l, x in enumerate(word):
+            key = (alphas, lead + word[l:] + word[:l])
+            _put(out, key, negc if before and (total ^ before) else coeff)
+            before ^= spar[x]
+    return Chain.canonical(chain.pres, out)
 
 
 # -- shuffle products -------------------------------------------------------------
@@ -684,20 +842,24 @@ def _interleavings(sparA, sparB):
     """Every (n, m)-shuffle of the letters of A (indices 0..n-1) and of B
     (indices n..n+m-1) as (order, negate): order lists the letter indices
     in output position, negate is the Koszul sign of the interleaving on the
-    shifted parities sparA, sparB."""
+    shifted parities sparA, sparB: the parity of the number of odd A letters
+    placed after an odd B letter, counted in one pass."""
     n, m = len(sparA), len(sparB)
     for positions in combinations(range(n + m), n):
-        posB = [p for p in range(n + m) if p not in positions]
+        posA = set(positions)
+        order = []
         negate = False
-        for ai, pa in enumerate(positions):
-            for bj, pb in enumerate(posB):
-                if pb < pa and sparA[ai] and sparB[bj]:
+        odd_b = ai = bj = 0   # odd B letters placed so far, letters placed
+        for p in range(n + m):
+            if p in posA:
+                if sparA[ai] and odd_b & 1:
                     negate = not negate
-        order = [None] * (n + m)
-        for ai, pa in enumerate(positions):
-            order[pa] = ai
-        for bj, pb in enumerate(posB):
-            order[pb] = n + bj
+                order.append(ai)
+                ai += 1
+            else:
+                odd_b += sparB[bj]
+                order.append(n + bj)
+                bj += 1
         yield tuple(order), negate
 
 
@@ -732,6 +894,9 @@ def _cyclic_shuffles(sparA, sparB):
     return tuple(out)
 
 
+_NO_ALPHAS = frozenset()
+
+
 def sh_op(x: Chain, y: Chain) -> Chain:
     """Shuffle product.
 
@@ -742,32 +907,31 @@ def sh_op(x: Chain, y: Chain) -> Chain:
     """
     internal = x.pres is y.pres
     pres_out = x.pres if internal else tensor_presentation(x.pres, y.pres)
-    nbb = len(y.pres.parity)
+    alphabet = pres_out.alphabet
+    spar_x, spar_y = x.pres.alphabet.spar, y.pres.alphabet.spar
     out = {}
     for (alphas_x, ax), cx in x.terms.items():
+        sparA = tuple(map(spar_x.__getitem__, ax[1:]))
+        odd_a = sum(sparA) & 1
+        if not internal:
+            ax = alphabet.embed(0, ax)
         for (alphas_y, ay), cy in y.terms.items():
             if alphas_x or alphas_y:
                 raise ChainError("shuffle of Cech-augmented words")
-            sparA = tuple((x.pres.parity[i] + 1) % 2 for _, i in ax[1:])
-            sparB = tuple((y.pres.parity[i] + 1) % 2 for _, i in ay[1:])
-            star = (y.pres.parity[ay[0][1]] * (sum(sparA) % 2)) % 2
+            sparB = tuple(map(spar_y.__getitem__, ay[1:]))
             base = cx * cy
-            if star:
+            if odd_a and not spar_y[ay[0]]:
                 base = -base
             negbase = -base
-            if internal:
-                a0_terms = _mul_atoms(pres_out, ax[0], ay[0])
-                letters = ax[1:] + ay[1:]
-            else:
-                a0_terms = [((_mono_add(ax[0][0], ay[0][0]),
-                              ax[0][1] * nbb + ay[0][1]), 1)]
-                letters = (tuple((mono, i * nbb) for mono, i in ax[1:])
-                           + ay[1:])
+            if not internal:
+                ay = alphabet.embed(1, ay)
+            a0_terms = alphabet.product(ax[0], ay[0])
+            letters = ax[1:] + ay[1:]
             for order, negate in _shuffles(sparA, sparB):
                 seq = tuple(map(letters.__getitem__, order))
                 for a0, c0 in a0_terms:
-                    _add_term(out, (frozenset(), (a0,) + seq),
-                              _times(base, negbase, -c0 if negate else c0))
+                    _put(out, (_NO_ALPHAS, (a0,) + seq),
+                         _times(base, negbase, -c0 if negate else c0))
     return Chain.canonical(pres_out, out)
 
 
@@ -777,29 +941,34 @@ def cyclic_sh_op(x: Chain, y: Chain) -> Chain:
     All letters of both words move into entry slots; the sum runs over
     cyclic rotations of each group followed by admissible interleavings
     (the leading letter of x stays ahead of the leading letter of y), with
-    Koszul signs of the full permutation on shifted degrees.
+    Koszul signs of the full permutation on shifted degrees.  The leading
+    slot holds the identity, with every monomial in module mode; a pair of
+    words with a letter that normalization kills in an entry slot
+    contributes nothing.
     """
     T = tensor_presentation(x.pres, y.pres)
-    nbb = len(y.pres.parity)
-    nv = len(T.variables)
-    id_atom = (_zero_mono(nv), 0)
+    alphabet = T.alphabet
+    spar_x, spar_y = x.pres.alphabet.spar, y.pres.alphabet.spar
     out = {}
     for (alphas_x, ax), cx in x.terms.items():
+        sparA = tuple(map(spar_x.__getitem__, ax))
+        starstar = (sum(sparA) ^ 1) & 1
+        ex = alphabet.embed(0, ax)
         for (alphas_y, ay), cy in y.terms.items():
             if alphas_x or alphas_y:
                 raise ChainError("cyclic shuffle of Cech-augmented words")
-            letters = tuple((mono, i * nbb) for mono, i in ax) + ay
-            sparA = tuple((x.pres.parity[i] + 1) % 2 for _, i in ax)
-            sparB = tuple((y.pres.parity[i] + 1) % 2 for _, i in ay)
-            starstar = (x.pres.parity[ax[0][1]] + sum(sparA[1:])) % 2
+            word = alphabet.canon((alphabet.one,) + ex + alphabet.embed(1, ay))
+            if word is None:
+                continue
+            lead, letters = (word[0],), word[1:]
+            sparB = tuple(map(spar_y.__getitem__, ay))
             base = cx * cy
             if starstar:
                 base = -base
             for order, negate in _cyclic_shuffles(sparA, sparB):
-                _add_term(out, (frozenset(), (id_atom,)
-                                + tuple(map(letters.__getitem__, order))),
-                          -base if negate else base)
-    return Chain(T, out)
+                _put(out, (_NO_ALPHAS, lead + tuple(map(letters.__getitem__, order))),
+                     -base if negate else base)
+    return Chain.canonical(T, out)
 
 
 # -- duality --------------------------------------------------------------------
@@ -833,26 +1002,25 @@ def star_map(source: AlgebraPresentation, target: AlgebraPresentation):
 def psi_op(chain: Chain, target: AlgebraPresentation) -> Chain:
     """Duality on chains: a0[a1|...|an] goes to the reversed starred word
     with the sign (-1)^(n + sum over pairs of shifted-degree products)."""
-    table = star_map(chain.pres, target)
+    source = chain.pres.alphabet
+    spar, star = source.spar, source.star
+    canon = target.alphabet.canon
     out = {}
-    for (alphas, atoms), coeff in chain.terms.items():
-        n = len(atoms) - 1
-        spar = [(chain.pres.parity[idx] + 1) % 2 for _, idx in atoms]
-        expo = n
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                expo += spar[i] * spar[j]
-        sgn = (-1) ** (expo % 2)
-        stars = []
-        for mono, idx in (atoms[0],) + tuple(reversed(atoms[1:])):
-            stars.append([((mono, k), c) for k, c in table[idx]])
-        words = [((), coeff * sgn)]
-        for expansion in stars:
-            words = [(acc + (atom,), c * ac)
-                     for acc, c in words for atom, ac in expansion]
+    for (alphas, word), coeff in chain.terms.items():
+        n = len(word) - 1
+        odd = sum(map(spar.__getitem__, word[1:]))
+        if (n + odd * (odd - 1) // 2) & 1:
+            coeff = -coeff
+        words = [((), coeff)]
+        for x in (word[0],) + word[:0:-1]:
+            expansion = star(target, x)
+            words = [(acc + (y,), c * sc)
+                     for acc, c in words for y, sc in expansion]
         for acc, c in words:
-            _add_term(out, (alphas, acc), c)
-    return Chain(target, out)
+            acc = canon(acc)
+            if acc is not None:
+                _put(out, (alphas, acc), c)
+    return Chain.canonical(target, out)
 
 
 # -- u-power series of chains ------------------------------------------------------
@@ -1086,7 +1254,7 @@ def euler_trace(chain: Chain) -> int | Fraction:
     if pres.basis is None:
         raise ChainError("trace needs a matrix presentation")
     total = 0
-    for (alphas, atoms), coeff in chain.terms.items():
+    for (alphas, atoms), coeff in chain.words():
         if alphas or len(atoms) > 1:
             continue
         mono, idx = atoms[0]

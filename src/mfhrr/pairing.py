@@ -317,8 +317,9 @@ def mixed_axioms_suite(*, count=200, seed=0) -> dict:
         for _ in range(per):
             c = random_chain(pres, rng, max_len=4, max_exp=2, nterms=3)
             checked += 1
-            if not (b_op(b_op(c)).is_zero() and B_op(B_op(c)).is_zero()
-                    and (b_op(B_op(c)) + B_op(b_op(c))).is_zero()):
+            bc, Bc = b_op(c), B_op(c)
+            if not (b_op(bc).is_zero() and B_op(Bc).is_zero()
+                    and (b_op(Bc) + B_op(bc)).is_zero()):
                 failures += 1
     return {"pass": failures == 0, "chains": checked, "failures": failures,
             "seed": seed}
@@ -342,8 +343,8 @@ def shuffle_suite(*, count=100, seed=0, utrunc=4) -> dict:
         leibniz = (b_op(sh_op(wx, wy))
                    - sh_op(b_op(wx), wy)
                    - sh_op(wx, b_op(wy)).scale(sgn)).is_zero()
-        exchange = (B_op(sh_op(wx, B_op(wy)))
-                    - sh_op(B_op(wx), B_op(wy))).is_zero()
+        Bwy = B_op(wy)
+        exchange = (B_op(sh_op(wx, Bwy)) - sh_op(B_op(wx), Bwy)).is_zero()
         ux = UChain.from_chain(wx, utrunc)
         uy = UChain.from_chain(wy, utrunc)
         full = (mixed_differential(kunneth_product(ux, uy))
@@ -421,8 +422,9 @@ def duality_suite(*, count=50, seed=0) -> dict:
     for _ in range(count):
         c = random_chain(E, rng, max_len=4, max_exp=2, nterms=3)
         checked += 1
-        if not ((psi_op(b_op(c), ED) - b_op(psi_op(c, ED))).is_zero()
-                and (psi_op(B_op(c), ED) + B_op(psi_op(c, ED))).is_zero()):
+        psi_c = psi_op(c, ED)
+        if not ((psi_op(b_op(c), ED) - b_op(psi_c)).is_zero()
+                and (psi_op(B_op(c), ED) + B_op(psi_c)).is_zero()):
             failures += 1
     return {"pass": failures == 0, "chains": checked, "failures": failures,
             "seed": seed}

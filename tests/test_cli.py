@@ -131,6 +131,15 @@ def test_validate_rejects_repeated_vars(tmp_path, capsys):
     assert err.startswith("error:") and "vars" in err
 
 
+def test_koszul_rejects_repeated_vars(capsys):
+    # --vars follows the rule of a JSON "vars" field, so koszul cannot print
+    # a file that validate rejects
+    code, out, err = run_cli(capsys, "koszul", "--a", "x", "--b", "x",
+                             "--vars", "x,x")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "vars" in err
+
+
 @pytest.mark.parametrize("flag,command", [("--mf", "validate"), ("--p", "ext"),
                                           ("--p", "pair"), ("--mf", "chern")])
 def test_mistyped_vars_is_an_error_not_a_traceback(tmp_path, capsys, flag, command):
@@ -258,6 +267,15 @@ def test_corpus_seed_11_stdout_is_pinned(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "565d687b43c5673657c443ab00f41cf5272e4f57504fdd396fff125fbe13dda6")
+
+
+def test_tower_stdout_is_pinned(capsys):
+    # the tower benchmark's own command: a rewrite of the chain engine must
+    # leave every suite's report byte-identical
+    code, out, _ = run_cli(capsys, "hoch-verify", "--utrunc", "5", "--seed", "3")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7a3062234fee51783157d4bc2855f83479895418a11e1d7d7932bcdb5db43b84")
 
 
 def test_console_entry_point_determinism():

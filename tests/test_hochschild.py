@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from mfhrr.hochschild import (
     AlgebraPresentation,
@@ -11,7 +12,9 @@ from mfhrr.hochschild import (
     Chain,
     ChainError,
     UChain,
+    _add_term,
     _cyclic_shuffles,
+    _interleavings,
     _phi_tower,
     _proportionality,
     alpha_op,
@@ -31,6 +34,7 @@ from mfhrr.hochschild import (
     psi_op,
     random_chain,
     sh_op,
+    star_map,
     tensor_presentation,
     y_power,
 )
@@ -149,15 +153,15 @@ def test_operators_return_canonical_chains(model, end_x2):
             moved = (c.with_alpha(0) if pres.laurent
                      else c.mul_mono((1,) * len(pres.variables)))
             for out in (b_op(c), B_op(c), b_op(B_op(c)), moved):
-                assert Chain(pres, out.terms).terms == out.terms
+                assert Chain(pres, dict(out.words())).terms == out.terms
             if not any(alphas for alphas, _ in c.terms):
                 d = random_chain(pres, rng, max_len=2, max_exp=1, nterms=2)
                 out = sh_op(c, d)
-                assert Chain(pres, out.terms).terms == out.terms
+                assert Chain(pres, dict(out.words())).terms == out.terms
     A, B = _tensor_pair()
     for _ in range(30):
         out = sh_op(_single_word(A, rng), _single_word(B, rng))
-        assert Chain(out.pres, out.terms).terms == out.terms
+        assert Chain(out.pres, dict(out.words())).terms == out.terms
 
 
 # ---- the mixed complex axioms --------------------------------------------------
@@ -256,7 +260,7 @@ def test_cyclic_shuffle_admissible_reading():
     assert len(prod.terms) == 1
     ((coeff),) = prod.terms.values()
     assert coeff == -1
-    ((_, atoms),) = prod.terms.keys()
+    (((_, atoms), _),) = prod.words()
     assert len(atoms) == 3
     nb = len(B.parity)
     assert [idx for _, idx in atoms] == [0, 3 * nb + 0, 0 * nb + 3]
@@ -371,7 +375,7 @@ def test_psi_reverses_entry_order(end_x2):
     ED = endomorphism_presentation(dual_mf(P),
                                    extra_names=koszul_generator_matrices(X))
     got = psi_op(end_x2.chain("1", ["e", "E11"]), ED)
-    ((_, atoms),) = got.terms.keys()
+    (((_, atoms), _),) = got.words()
     names = [ED.display[idx] for _, idx in atoms]
     assert names == ["1", "E11", "e*"]
 
@@ -491,7 +495,7 @@ def test_operator_coefficients_are_int_or_proper_fraction(model, end_x2):
     half = model.chain("e", ["e*"], coeff=Fraction(1, 2))
     assert list((half + half).terms.values()) == [1]
     both = b_op(half + model.chain("e*", ["e"], coeff=Fraction(1, 2)))
-    assert _exact_form(both) and type(both.terms[(frozenset(), (((0,), 0),))]) is int
+    assert _exact_form(both) and type(dict(both.words())[(frozenset(), (((0,), 0),))]) is int
     assert type(list(half.scale(4).terms.values())[0]) is int
     assert type(list(model.chain("e", coeff=Fraction(6, 3)).terms.values())[0]) is int
 
@@ -506,8 +510,8 @@ def test_proportionality_divides_as_fraction(model):
 def test_float_coefficient_is_rejected(model):
     e = model.chain("e")
     for make in (lambda: model.chain("e", coeff=0.5), lambda: e.scale(0.5),
-                 lambda: Chain(model, {next(iter(e.terms)): 0.5}),
-                 lambda: Chain(model, {next(iter(e.terms)): 0.0})):
+                 lambda: Chain(model, {next(e.words())[0]: 0.5}),
+                 lambda: Chain(model, {next(e.words())[0]: 0.0})):
         with pytest.raises(TypeError):
             make()
 
@@ -538,3 +542,315 @@ def test_tensor_presentation_is_cached_and_checked():
 def test_chain_repr_round_trips_visually(model):
     c = model.chain("e", ["e*"], coeff=Fraction(-3, 2)).mul_mono((2,))
     assert repr(c) == "-3/2*x^2*e[e*]"
+
+
+# ---- the nested-atom reference engine -----------------------------------------------
+#
+# The operators as they stood when every word was a tuple of (monomial, index)
+# atoms.  The letter-id operators above must agree with them word for word,
+# decoded through Chain.words().
+
+def _madd(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _ref_normalize(pres, terms):
+    """The canonical form by the atom rules: drop a word with an identity
+    multiple past slot 0 (any multiple in module mode, a constant one in
+    scalar mode); in module mode collect every monomial on a0."""
+    module = pres.normalization == "module"
+    clean = {}
+    for (alphas, atoms), coeff in terms.items():
+        if any(idx == 0 and (module or not any(mono)) for mono, idx in atoms[1:]):
+            continue
+        if module and len(atoms) > 1:
+            total = atoms[0][0]
+            for mono, _ in atoms[1:]:
+                total = _madd(total, mono)
+            zero = (0,) * len(total)
+            atoms = ((total, atoms[0][1]),) + tuple((zero, idx) for _, idx in atoms[1:])
+        _add_term(clean, (alphas, atoms), coeff)
+    return clean
+
+
+def _ref_b(chain):
+    pres = chain.pres
+    module = pres.normalization == "module"
+    parity, mult, diff, curvature = pres.parity, pres.mult, pres.diff, pres.curvature
+    out = {}
+
+    def put_letter(alphas, atoms, j, mono, k, v):
+        if k == 0 and (module or not any(mono)):
+            return
+        if module and any(mono):
+            m0, i0 = atoms[0]
+            _add_term(out, (alphas, ((_madd(m0, mono), i0),) + atoms[1:j]
+                            + (((0,) * len(mono), k),) + atoms[j + 1:]), v)
+        else:
+            _add_term(out, (alphas, atoms[:j] + ((mono, k),) + atoms[j + 1:]), v)
+
+    for (alphas, atoms), coeff in chain.words():
+        n = len(atoms) - 1
+        m0, i0 = atoms[0]
+        shifted = [0] * (n + 2)
+        for j, (_, idx) in enumerate(atoms):
+            shifted[j + 1] = shifted[j] ^ ((parity[idx] + 1) & 1)
+        if n >= 1:
+            m1, i1 = atoms[1]
+            sign = -1 if parity[i0] % 2 else 1
+            for k, c in mult[(i0, i1)]:
+                _add_term(out, (alphas, ((_madd(m0, m1), k),) + atoms[2:]),
+                          sign * c * coeff)
+            for j in range(1, n):
+                (mj, ij), (mk, ik) = atoms[j], atoms[j + 1]
+                mono = _madd(mj, mk)
+                sign = -1 if shifted[j + 1] ^ 1 else 1
+                for k, c in mult[(ij, ik)]:
+                    if k == 0 and (module or not any(mono)):
+                        continue
+                    _add_term(out, (alphas, atoms[:j] + ((mono, k),) + atoms[j + 2:]),
+                              sign * c * coeff)
+            mn, i_n = atoms[n]
+            sign = -1 if not ((parity[i_n] + 1) * (shifted[n] + 1)) % 2 else 1
+            for k, c in mult[(i_n, i0)]:
+                _add_term(out, (alphas, ((_madd(mn, m0), k),) + atoms[1:n]),
+                          sign * c * coeff)
+        for mono, k, c in diff[i0]:
+            _add_term(out, (alphas, ((_madd(m0, mono), k),) + atoms[1:]), c * coeff)
+        for j in range(1, n + 1):
+            mj, ij = atoms[j]
+            sign = -1 if shifted[j] else 1
+            for mono, k, c in diff[ij]:
+                put_letter(alphas, atoms, j, _madd(mj, mono), k, sign * c * coeff)
+        for j in range(n + 1):
+            sign = -1 if shifted[j + 1] ^ 1 else 1
+            word = atoms[:j + 1] + (None,) + atoms[j + 1:]
+            for mono, k, c in curvature:
+                put_letter(alphas, word, j + 1, mono, k, sign * c * coeff)
+    return out
+
+
+def _ref_B(chain):
+    pres = chain.pres
+    module = pres.normalization == "module"
+    zero = (0,) * len(pres.variables)
+    out = {}
+    for (alphas, atoms), coeff in chain.words():
+        m0, i0 = atoms[0]
+        if i0 == 0 and (module or not any(m0)):
+            continue
+        if module:
+            lead = ((m0, 0),)
+            atoms = ((zero, i0),) + atoms[1:]
+        else:
+            lead = ((zero, 0),)
+        spar = [(pres.parity[idx] + 1) % 2 for _, idx in atoms]
+        total = sum(spar) % 2
+        before = 0
+        for l in range(len(atoms)):
+            sign = -1 if before and (total ^ before) else 1
+            _add_term(out, (alphas, lead + atoms[l:] + atoms[:l]), sign * coeff)
+            before ^= spar[l]
+    return out
+
+
+def _interleavings_pairwise(sparA, sparB):
+    """_interleavings with the Koszul sign counted pair by pair."""
+    n, m = len(sparA), len(sparB)
+    for positions in combinations(range(n + m), n):
+        posB = [p for p in range(n + m) if p not in positions]
+        negate = False
+        for ai, pa in enumerate(positions):
+            for bj, pb in enumerate(posB):
+                if pb < pa and sparA[ai] and sparB[bj]:
+                    negate = not negate
+        order = [None] * (n + m)
+        for ai, pa in enumerate(positions):
+            order[pa] = ai
+        for bj, pb in enumerate(posB):
+            order[pb] = n + bj
+        yield tuple(order), negate
+
+
+def _ref_sh(x, y):
+    internal = x.pres is y.pres
+    pres_out = x.pres if internal else tensor_presentation(x.pres, y.pres)
+    nbb = len(y.pres.parity)
+    out = {}
+    for (_, ax), cx in x.words():
+        for (_, ay), cy in y.words():
+            sparA = tuple((x.pres.parity[i] + 1) % 2 for _, i in ax[1:])
+            sparB = tuple((y.pres.parity[i] + 1) % 2 for _, i in ay[1:])
+            sign = -1 if y.pres.parity[ay[0][1]] * sum(sparA) % 2 else 1
+            mono = _madd(ax[0][0], ay[0][0])
+            if internal:
+                a0_terms = [((mono, k), c)
+                            for k, c in pres_out.mult[(ax[0][1], ay[0][1])]]
+                letters = ax[1:] + ay[1:]
+            else:
+                a0_terms = [((mono, ax[0][1] * nbb + ay[0][1]), 1)]
+                letters = tuple((m, i * nbb) for m, i in ax[1:]) + ay[1:]
+            for order, negate in _interleavings_pairwise(sparA, sparB):
+                seq = tuple(letters[i] for i in order)
+                for a0, c0 in a0_terms:
+                    _add_term(out, (frozenset(), (a0,) + seq),
+                              (-sign if negate else sign) * c0 * cx * cy)
+    return out
+
+
+def _ref_cyclic_sh(x, y):
+    T = tensor_presentation(x.pres, y.pres)
+    nbb = len(y.pres.parity)
+    id_atom = ((0,) * len(T.variables), 0)
+    out = {}
+    for (_, ax), cx in x.words():
+        for (_, ay), cy in y.words():
+            letters = tuple((m, i * nbb) for m, i in ax) + ay
+            sparA = tuple((x.pres.parity[i] + 1) % 2 for _, i in ax)
+            sparB = tuple((y.pres.parity[i] + 1) % 2 for _, i in ay)
+            sign = -1 if (x.pres.parity[ax[0][1]] + sum(sparA[1:])) % 2 else 1
+            for order, negate in _cyclic_shuffles_direct(sparA, sparB):
+                _add_term(out, (frozenset(), (id_atom,) + tuple(letters[i] for i in order)),
+                          (-sign if negate else sign) * cx * cy)
+    return _ref_normalize(T, out)
+
+
+def _ref_psi(chain, target):
+    table = star_map(chain.pres, target)
+    out = {}
+    for (alphas, atoms), coeff in chain.words():
+        n = len(atoms) - 1
+        spar = [(chain.pres.parity[idx] + 1) % 2 for _, idx in atoms]
+        expo = n + sum(spar[i] * spar[j]
+                       for i in range(1, n + 1) for j in range(i + 1, n + 1))
+        words = [((), (-1) ** expo * coeff)]
+        for mono, idx in (atoms[0],) + tuple(reversed(atoms[1:])):
+            words = [(acc + ((mono, k),), c * ac)
+                     for acc, c in words for k, ac in table[idx]]
+        for acc, c in words:
+            _add_term(out, (alphas, acc), c)
+    return _ref_normalize(target, out)
+
+
+@st.composite
+def _atom_chains(draw, pres, max_len=3, nterms=3, alphas=True):
+    """A chain from drawn atom words: Laurent exponents on the inverted
+    variables and Cech tags when the presentation has them."""
+    nv, nb = len(pres.variables), len(pres.parity)
+    terms = {}
+    for _ in range(draw(st.integers(1, nterms))):
+        atoms = tuple(
+            (tuple(draw(st.integers(-2 if v in pres.laurent else 0, 2))
+                   for v in range(nv)), draw(st.integers(0, nb - 1)))
+            for _ in range(draw(st.integers(0, max_len)) + 1))
+        tags = frozenset()
+        if alphas and pres.laurent:
+            tags = frozenset(draw(st.sets(st.sampled_from(sorted(pres.laurent)))))
+        coeff = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+        _add_term(terms, (tags, atoms), coeff)
+    return Chain(pres, terms)
+
+
+def _reference_kinds():
+    """Scalar, module with Laurent monomials and Cech tags, a tensor
+    presentation and a curved polynomial ring (so b0 runs)."""
+    A, B = _tensor_pair()
+    return {
+        "scalar": endomorphism_presentation(kmf(XY, "x", "y")),
+        "module": endomorphism_presentation(kmf(XY, "x", "y"), normalization="module",
+                                            laurent={0, 1}),
+        "local": local_model_presentation(),
+        "tensor": tensor_presentation(A, B),
+        "curved": polynomial_presentation(XY, parse_poly("x^2 + y^3", XY), laurent={1}),
+    }
+
+
+REFERENCE_KINDS = _reference_kinds()
+
+
+def _decoded(chain):
+    return dict(chain.words())
+
+
+@pytest.mark.parametrize("kind", sorted(REFERENCE_KINDS))
+@seed(1507)
+@settings(max_examples=10, deadline=None, database=None)
+@given(data=st.data())
+def test_b_and_B_match_the_atom_reference(kind, data):
+    pres = REFERENCE_KINDS[kind]
+    c = data.draw(_atom_chains(pres))
+    assert Chain(pres, _decoded(c)) == c
+    for got, want in ((b_op(c), _ref_b(c)), (B_op(c), _ref_B(c))):
+        assert _decoded(got) == want
+        assert Chain(pres, _decoded(got)) == got
+
+
+def _shuffle_pairs():
+    """(x presentation, y presentation) for the shuffles: internal, external
+    scalar, external module and a presentation against itself."""
+    A, B = _tensor_pair()
+    module = [endomorphism_presentation(kmf(XY, a, b), normalization="module",
+                                        label=f"module {a}{b}")
+              for a, b in (("x", "x"), ("x", "y"))]
+    return {"internal": (A, A), "curved": (REFERENCE_KINDS["curved"],) * 2,
+            "local": (REFERENCE_KINDS["local"],) * 2, "external": (A, B),
+            "module": tuple(module)}
+
+
+SHUFFLE_PAIRS = _shuffle_pairs()
+
+
+@pytest.mark.parametrize("kind", sorted(SHUFFLE_PAIRS))
+@seed(1508)
+@settings(max_examples=8, deadline=None, database=None)
+@given(data=st.data())
+def test_shuffles_match_the_atom_reference(kind, data):
+    P, Q = SHUFFLE_PAIRS[kind]
+    x = data.draw(_atom_chains(P, max_len=2, nterms=2, alphas=False))
+    y = data.draw(_atom_chains(Q, max_len=2, nterms=2, alphas=False))
+    got = sh_op(x, y)
+    assert _decoded(got) == _ref_sh(x, y)
+    assert Chain(got.pres, _decoded(got)) == got
+    got = cyclic_sh_op(x, y)
+    assert _decoded(got) == _ref_cyclic_sh(x, y)
+    assert Chain(got.pres, _decoded(got)) == got
+
+
+def _psi_pairs():
+    P = kmf(XY, "x", "y")
+    return {mode: (endomorphism_presentation(P, normalization=mode, laurent={0}),
+                   endomorphism_presentation(dual_mf(P), normalization=mode,
+                                             laurent={0}))
+            for mode in ("scalar", "module")}
+
+
+PSI_PAIRS = _psi_pairs()
+
+
+@pytest.mark.parametrize("mode", sorted(PSI_PAIRS))
+@seed(1509)
+@settings(max_examples=10, deadline=None, database=None)
+@given(data=st.data())
+def test_psi_matches_the_atom_reference(mode, data):
+    E, ED = PSI_PAIRS[mode]
+    c = data.draw(_atom_chains(E))
+    got = psi_op(c, ED)
+    assert _decoded(got) == _ref_psi(c, ED)
+    assert Chain(ED, _decoded(got)) == got
+
+
+def test_interleavings_match_the_pairwise_signs():
+    tuples = [t for n in range(6) for t in product((0, 1), repeat=n)]
+    for sparA in tuples:
+        for sparB in tuples:
+            assert (list(_interleavings(sparA, sparB))
+                    == list(_interleavings_pairwise(sparA, sparB))), (sparA, sparB)
+
+
+def test_words_round_trip_through_the_constructor(model, end_x2):
+    rng = random.Random(1510)
+    for pres in _canonical_kinds(model, end_x2):
+        for _ in range(20):
+            c = random_chain(pres, rng, max_len=4, max_exp=2, nterms=4, alphas=True)
+            for out in (c, b_op(c), B_op(c)):
+                assert Chain(pres, dict(out.words())) == out
