@@ -21,8 +21,10 @@ untagged, so the same tags carry the relations modulo (a)·F_r.  Each
 syzygy and certificate is verified once, exactly, against the caller's
 generators, modulo (a) by cofactors on a; a failed check raises
 VerificationError.  The tag block of such a basis is itself a Groebner
-basis of the kernel, so a subquotient of a kernel needs one more basis
-only, of the submodule, and counts the lead terms between the two.
+basis of the kernel, and the main parts of the other elements are one of
+the image plus (a)·F, so one graph basis of a differential serves both
+homology halves it enters, and a subquotient only counts the lead terms
+between a kernel and an image.
 
 The engine takes ordinary polynomials only: a negative exponent raises
 LaurentError where a polynomial enters it.
@@ -462,6 +464,15 @@ class GraphBasis:
                 for e, (comp, _) in zip(self.basis.elems, self.basis.leads)
                 if comp >= ncomp]
 
+    def image_leads(self) -> list:
+        """Lead terms of span(gens) + (ideal)·F: the leads of the basis
+        elements that lie in the main block.  The tag block is ordered below
+        it, so the main parts of those elements are a reduced Groebner basis
+        of that module in the engine's order (what subquotient_dim takes for
+        an image)."""
+        ncomp = self.ncomp
+        return [t for t in self.basis.leads if t[0] < ncomp]
+
     def cofactors(self, target) -> tuple:
         """Tuple c of Poly with sum c_k g_k = target (modulo (ideal)·F, given
         an ideal); NotInIdealError otherwise."""
@@ -516,17 +527,12 @@ def syzygies(gens):
     return GraphBasis(gens).syzygies()
 
 
-def module_kernel(matrix, ideal=()):
-    """Generators of {v in F_s : matrix·v in (ideal)·F_r} for a r x s Poly
-    matrix; with no ideal, the kernel of the map F_s -> F_r.
+def matrix_graph(matrix, ideal=()) -> GraphBasis:
+    """GraphBasis of the columns of an r x s Poly matrix (r, s >= 1), with
+    the ideal adjoined untagged when one is given.
 
-    Returns a list of length-s tuples of Poly, the tag-block elements of
-    one graph basis of the columns with the ideal adjoined untagged (see
-    GraphBasis).  Under position-over-term with the main block first this
-    is an elimination order, so they are a reduced Groebner basis of the
-    whole module, in the engine's order on F_s (what subquotient_dim
-    takes); each one is verified, modulo the ideal through cofactors on
-    the ideal.
+    Its syzygies generate {v in F_s : matrix·v in (ideal)·F_r}, and its
+    image_leads are the lead terms of the image plus (ideal)·F_r.
     """
     r = len(matrix)
     if r == 0:
@@ -535,24 +541,42 @@ def module_kernel(matrix, ideal=()):
     if any(len(row) != s for row in matrix):
         raise ValueError("ragged matrix")
     if s == 0:
-        return []
+        raise ValueError("matrix with no columns")
     cols = [tuple(matrix[i][j] for i in range(r)) for j in range(s)]
-    return GraphBasis(cols, ideal=ideal).syzygies()
+    return GraphBasis(cols, ideal=ideal)
 
 
-def subquotient_dim(ker_gens, im_gens) -> int:
+def module_kernel(matrix, ideal=()):
+    """Generators of {v in F_s : matrix·v in (ideal)·F_r} for a r x s Poly
+    matrix; with no ideal, the kernel of the map F_s -> F_r.
+
+    Returns a list of length-s tuples of Poly, the tag-block elements of
+    matrix_graph(matrix, ideal), and [] for a matrix with no columns.
+    Under position-over-term with the main block first this is an
+    elimination order, so they are a reduced Groebner basis of the whole
+    module, in the engine's order on F_s (what subquotient_dim takes);
+    each one is verified, modulo the ideal through cofactors on the ideal.
+    """
+    if matrix and not any(len(row) for row in matrix):
+        return []
+    return matrix_graph(matrix, ideal).syzygies()
+
+
+def subquotient_dim(ker_gens, im_gens, im_leads) -> int:
     """Rational dimension of (span ker_gens) / (span im_gens).
 
-    Precondition: ker_gens is a Groebner basis of its span in the engine's
+    Preconditions: ker_gens is a Groebner basis of its span in the engine's
     order (degrevlex, position over term, lower component first), as
-    module_kernel returns it; its elements need not be monic.  Each image
-    generator is reduced to zero against that basis, or NonContainmentError
-    is raised; a zero remainder writes the generator as a combination of
-    ker_gens, so containment is proved whatever ker_gens is.  Then one
-    Groebner basis of the image is built, and by Macaulay's basis theorem
-    the dimension is the number of lead terms of the kernel module that
-    are not lead terms of the image module.  InfiniteDimensionError is
-    raised when that number is infinite.
+    module_kernel returns it, and its elements need not be monic; im_leads
+    are the lead terms of a Groebner basis of span im_gens in that order,
+    as GraphBasis.image_leads gives them for a graph basis of the same
+    generators.  Each image generator is reduced to zero against ker_gens,
+    or NonContainmentError is raised; a zero remainder writes the generator
+    as a combination of ker_gens, so containment is proved whatever ker_gens
+    is.  No basis is built here: by Macaulay's basis theorem the dimension
+    is the number of lead terms of the kernel module that are not lead
+    terms of the image module.  InfiniteDimensionError is raised when that
+    number is infinite.
     """
     ker_gens = list(ker_gens)
     im_gens = list(im_gens)
@@ -568,16 +592,11 @@ def subquotient_dim(ker_gens, im_gens) -> int:
         vec = _to_vec(g, ncomp)
         if vec:
             ker.add(vec)
-    image = []
     for idx, g in enumerate(im_gens):
-        vec = _to_vec(g, ncomp)
-        if _reduce_full(vec, ker):
+        if _reduce_full(_to_vec(g, ncomp), ker):
             raise NonContainmentError(
                 f"generator {idx} of the submodule is not contained in the module")
-        if vec:
-            image.append(vec)
-    im, _ = _buchberger_raw(image, "degrevlex", ncomp == 1)
-    return _lead_gap(ker.leads, im.leads, variables)
+    return _lead_gap(ker.leads, im_leads, variables)
 
 
 def _lead_gap(big, small, variables) -> int:

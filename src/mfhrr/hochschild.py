@@ -589,7 +589,14 @@ class Chain:
         letter = alphabet.letter
         clean = {}
         for (alphas, atoms), coeff in terms.items():
-            word = alphabet.canon(tuple(letter(mono, idx) for mono, idx in atoms))
+            try:
+                ids = tuple(letter(mono, idx) for mono, idx in atoms)
+            except TypeError:
+                raise ChainError(
+                    f"word {atoms!r} is not a word of atoms (monomial, basis "
+                    "index): Chain takes atom words; stored letter-id words "
+                    "go through Chain.canonical") from None
+            word = alphabet.canon(ids)
             if word is not None:
                 _add_term(clean, (alphas, word), coeff)
         self.pres = pres

@@ -1,15 +1,17 @@
 """Ext dimensions and Euler characteristics of matrix factorizations.
 
-The shipping routes are exact: kernels are computed as syzygy modules
-(modulo the ideal, on the Koszul route: module_kernel(d, a)), which come
-out as Groebner bases, and each homology dimension is a subquotient
+The shipping routes are exact.  Each differential d gets one graph basis
+of its columns, matrix_graph(d, a) (with a = () off the Koszul route),
+built once per (d, a): its tag block is a Groebner basis of ker d modulo
+(a)·F, the one module_kernel(d, a) returns, and its other elements give
+the lead terms of im d + (a)·F.  Each homology dimension is a subquotient
 dimension over the polynomial ring, counted as the kernel's lead terms
-outside the lead terms of one Groebner basis of the image.  Ext(P, Q) is
-the homology of hom_complex(P, Q), or, when P is a Koszul factorization
-K(a, b) with a regular, the homology of Q reduced mod (a), a complex
-rank(P) times smaller (see ext_dims).  Taking the subquotient reduces
-every image generator to zero modulo the kernel's basis, so it also
-proves d^2 = 0 exactly (modulo the ideal, on the Koszul route); this is
+outside the image's, so a complex builds two Groebner bases in all.
+Ext(P, Q) is the homology of hom_complex(P, Q), or, when P is a Koszul
+factorization K(a, b) with a regular, the homology of Q reduced mod (a),
+a complex rank(P) times smaller (see ext_dims).  Taking the subquotient
+reduces every image generator to zero modulo the kernel's basis, so it
+also proves d^2 = 0 exactly (modulo the ideal, on the Koszul route); this is
 the one place where a complex is checked to be one.  A degree-truncated
 dense linear algebra routine over the Hom complex is kept alongside as an
 independent cross-check; the two must agree whenever the answer is
@@ -26,7 +28,7 @@ from .groebner import (
     NotInIdealError,
     check_isolated,
     graph_basis,
-    module_kernel,
+    matrix_graph,
     subquotient_dim,
 )
 from .mfcat import MatrixFactorization, MFValidationError, Z2Complex, hom_complex
@@ -68,11 +70,12 @@ def homology_dims(C: Z2Complex, ideal=()):
     H0 = {v : d0 v in (ideal) C1} / (im d1 + (ideal) C0), and H1 likewise;
     with no ideal these are ker d0 / im d1 and ker d1 / im d0.  Each half is
     computed by _homology_half, cached by content: a shifted complex, or
-    K(b, a) after K(a, b), gets the same two halves swapped.  Each half
-    builds two Groebner bases: the graph basis in module_kernel, whose tag
-    block is a Groebner basis of the kernel, and one basis of the image;
-    its dimension is the number of kernel lead terms that are not image
-    lead terms.  Each column of d1 (and each a_k e_j) is reduced to zero
+    K(b, a) after K(a, b), gets the same two halves swapped.  The two halves
+    share two Groebner bases, one graph basis per differential
+    (_differential_graph): the half where d leaves the source reads its
+    kernel, the half where d enters reads its image leads, and the
+    dimension is the number of kernel lead terms that are not image lead
+    terms.  Each column of d1 (and each a_k e_j) is reduced to zero
     modulo the kernel basis of d0, and each column of d0 modulo that of
     d1, so dimensions come back only for a complex modulo the ideal, and
     d^2 = 0 is proved once for each distinct half: if d0 d1 or d1 d0 is
@@ -80,8 +83,9 @@ def homology_dims(C: Z2Complex, ideal=()):
     InfiniteDimensionError, when H0 is already infinite), and errors are
     not cached.
     """
-    h0, k0 = _homology_half(C.vars, C.d0, C.d1, tuple(ideal), C.rank0)
-    h1, k1 = _homology_half(C.vars, C.d1, C.d0, tuple(ideal), C.rank1)
+    ideal = tuple(ideal)
+    h0, k0 = _homology_half(C.vars, C.d0, C.d1, ideal, C.rank0)
+    h1, k1 = _homology_half(C.vars, C.d1, C.d0, ideal, C.rank1)
     prov = {
         "complex_dims": [C.rank0, C.rank1],
         "kernel_generators": [k0, k1],
@@ -93,10 +97,23 @@ def homology_dims(C: Z2Complex, ideal=()):
 def _homology_half(variables, d_out, d_in, ideal, source_rank):
     """(dim, kernel generator count) of {v : d_out v in (ideal)} modulo
     im d_in + (ideal), on a source of the given rank."""
-    ker = module_kernel(d_out, ideal)
+    ker, _ = _differential_graph(d_out, ideal)
+    _, im_leads = _differential_graph(d_in, ideal)
     im = _columns(d_in) + _ideal_multiples(ideal, source_rank, variables)
-    dim = subquotient_dim(ker, im)
-    return dim, len(ker)
+    return subquotient_dim(ker, im, im_leads), len(ker)
+
+
+@lru_cache(maxsize=None)
+def _differential_graph(d, ideal):
+    """(kernel, image leads) of the matrix d modulo (ideal)·F, both read off
+    matrix_graph(d, ideal), built once per (d, ideal) by content.
+
+    The kernel is the verified tag block, as module_kernel(d, ideal) returns
+    it; the image leads are those of the main-block elements, the lead
+    terms of im d + (ideal)·F (GraphBasis.image_leads).
+    """
+    graph = matrix_graph(d, ideal)
+    return graph.syzygies(), graph.image_leads()
 
 
 @lru_cache(maxsize=None)

@@ -48,7 +48,7 @@ from .mfcat import (
     shift_mf,
 )
 from .polyring import Poly, parse_poly
-from .residue import jacobian_cover, res_monomial
+from .residue import jacobian_cover, res_product
 
 # epsilon_n = (-1)^{n(n+1)/2}, tabulated by n mod 4 and recalibrated against
 # the homological Euler characteristic on a reference instance per even class
@@ -63,17 +63,25 @@ def epsilon_formula(n: int) -> int:
     return -1 if (n * (n + 1) // 2) % 2 else 1
 
 
+@lru_cache(maxsize=None)
+def _weighted_top(P: MatrixFactorization) -> Poly:
+    """top(P) times the determinant of the Jacobian cover of P's potential:
+    P's whole factor in every residue it enters, built once per P and keyed
+    by content like chern_form."""
+    return chern_form(P).top() * jacobian_cover(P.f).det
+
+
 def _raw_residue_pairing(P: MatrixFactorization, Q: MatrixFactorization) -> int | Fraction:
     """Residue over the Jacobian ideal of top(Q) * top(P dual).
 
     Only reached in even arity, where the top of P's dual is P's own top:
     ch(P dual) = gamma(ch(P)), and gamma fixes a form of even degree at u^0.
-    The cover, its det and both Chern forms are the cached ones of f, P
-    and Q.
+    Through the cover the residue is one coefficient of
+    top(Q) * top(P) * det, which res_product reads off top(Q) and P's
+    cached weighted top without forming the product.
     """
-    cover = jacobian_cover(P.f)
-    return res_monomial(chern_form(Q).top() * chern_form(P).top() * cover.det,
-                        cover.exponents)
+    return res_product(chern_form(Q).top(), _weighted_top(P),
+                       jacobian_cover(P.f).exponents)
 
 
 def _calibration_instance(n: int) -> MatrixFactorization:

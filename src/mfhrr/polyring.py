@@ -461,22 +461,12 @@ class DiffForm:
                 comps[nidx] = comps.get(nidx, Poly.zero(self.vars)) + dp * sign
         return DiffForm(self.vars, comps)
 
-    def degree_part(self, k: int) -> "DiffForm":
-        return DiffForm(self.vars, {i: p for i, p in self.comps.items() if len(i) == k})
-
     def component(self, idx: tuple[int, ...]) -> Poly:
         return self.comps.get(tuple(idx), Poly.zero(self.vars))
 
     def top(self) -> Poly:
         """Coefficient of dx_0 ... dx_{n-1}."""
         return self.component(tuple(range(len(self.vars))))
-
-    def split_by_parity(self) -> tuple["DiffForm", "DiffForm"]:
-        even: dict[tuple[int, ...], Poly] = {}
-        odd: dict[tuple[int, ...], Poly] = {}
-        for idx, p in self.comps.items():
-            (even if len(idx) % 2 == 0 else odd)[idx] = p
-        return DiffForm(self.vars, even), DiffForm(self.vars, odd)
 
     def is_zero(self) -> bool:
         return not self.comps

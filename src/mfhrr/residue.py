@@ -24,13 +24,25 @@ from .groebner import (
     check_isolated,
     normal_form,
 )
-from .polyring import LaurentError, Poly
+from .polyring import LaurentError, Poly, _exact
 
 
 def _check_ordinary(numerator: Poly) -> None:
     if any(e < 0 for mono in numerator.terms for e in mono):
         raise LaurentError(f"negative exponent in the numerator {numerator}: "
                            "residues take ordinary polynomials")
+
+
+def _residue_target(exponents, variables) -> tuple:
+    """exponents - (1, ..., 1), once the exponents are checked: one
+    positive int per variable."""
+    a = tuple(exponents)
+    if len(a) != len(variables):
+        raise ValueError(
+            f"{len(a)} denominator exponents for {len(variables)} variables")
+    if any((not isinstance(e, int)) or e <= 0 for e in a):
+        raise ValueError(f"denominator exponents must be positive integers: {a}")
+    return tuple(e - 1 for e in a)
 
 
 def res_monomial(numerator: Poly, exponents) -> int | Fraction:
@@ -42,14 +54,29 @@ def res_monomial(numerator: Poly, exponents) -> int | Fraction:
     otherwise).
     """
     _check_ordinary(numerator)
-    a = tuple(exponents)
-    if len(a) != len(numerator.vars):
-        raise ValueError(
-            f"{len(a)} denominator exponents for {len(numerator.vars)} variables")
-    if any((not isinstance(e, int)) or e <= 0 for e in a):
-        raise ValueError(f"denominator exponents must be positive integers: {a}")
-    target = tuple(e - 1 for e in a)
-    return numerator.coefficient(target)
+    return numerator.coefficient(_residue_target(exponents, numerator.vars))
+
+
+def res_product(left: Poly, right: Poly, exponents) -> int | Fraction:
+    """res_monomial(left * right, exponents), without forming the product.
+
+    Only the coefficient of x^{exponents - 1} is read: each term c x^m of
+    left meets the one term of right that completes it, so the value is a
+    sparse dot product over left's terms.  Both factors must be ordinary
+    polynomials (LaurentError otherwise) over the same variables.
+    """
+    _check_ordinary(left)
+    _check_ordinary(right)
+    if left.vars != right.vars:
+        raise ValueError("residue factors over different variable lists")
+    target = _residue_target(exponents, left.vars)
+    partner = right.terms.get
+    total = 0
+    for mono, c in left.terms.items():
+        d = partner(tuple(t - e for t, e in zip(target, mono)))
+        if d:
+            total += c * d
+    return _exact(total)
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,14 @@ from mfhrr.groebner import (
     VerificationError,
     buchberger,
     check_isolated,
+    matrix_graph,
     module_kernel,
     normal_form,
     quotient_basis,
     subquotient_dim,
     syzygies,
 )
-from mfhrr.homalg import _columns, _ideal_multiples
+from mfhrr.homalg import _columns, _ideal_multiples, homology_dims
 from mfhrr.mfcat import Z2Complex, hom_complex, koszul_mf
 from mfhrr.polyring import Poly, parse_poly
 
@@ -148,37 +149,42 @@ def test_module_kernel_two_rows():
 
 # -- subquotients ---------------------------------------------------------------
 
+def _subquotient(ker_gens, im_gens):
+    """subquotient_dim with the image leads of a basis built directly."""
+    return subquotient_dim(ker_gens, im_gens, buchberger(im_gens).lead_terms())
+
+
 def test_subquotient_free_at_origin():
     e1 = (P("1"), P("0"))
     e2 = (P("0"), P("1"))
     im = [(P("x"), P("0")), (P("y"), P("0")), (P("0"), P("x")), (P("0"), P("y"))]
-    assert subquotient_dim([e1, e2], im) == 2
+    assert _subquotient([e1, e2], im) == 2
 
 
 def test_subquotient_one_var():
     X = ("x",)
     k = parse_poly("x", X)
-    assert subquotient_dim([k], [parse_poly("x^3", X)]) == 2
+    assert _subquotient([k], [parse_poly("x^3", X)]) == 2
 
 
 def test_subquotient_not_contained():
     with pytest.raises(NonContainmentError):
-        subquotient_dim([P("x^2")], [P("x")])
+        _subquotient([P("x^2")], [P("x")])
 
 
 def test_subquotient_infinite():
     with pytest.raises(InfiniteDimensionError):
-        subquotient_dim([P("x")], [P("x^2")])  # x*y^k survive for all k
+        _subquotient([P("x")], [P("x^2")])  # x*y^k survive for all k
 
 
 def test_subquotient_zero_quotient():
-    assert subquotient_dim([P("x"), P("y")], [P("x"), P("y")]) == 0
+    assert _subquotient([P("x"), P("y")], [P("x"), P("y")]) == 0
 
 
 def test_subquotient_infinite_along_one_variable():
     # F_1 / (x) = Q[y]: the lead 1 times every power of y stays outside (x)
     with pytest.raises(InfiniteDimensionError, match="power of y"):
-        subquotient_dim([P("1")], [P("x")])
+        _subquotient([P("1")], [P("x")])
 
 
 def _graph_subquotient_dim(ker_gens, im_gens):
@@ -253,11 +259,26 @@ def homology_complexes(draw):
 @given(homology_complexes())
 def test_lead_count_matches_graph_reference(case):
     C, ideal = case
-    for d_out, d_in, rank in ((C.d0, C.d1, C.rank0), (C.d1, C.d0, C.rank1)):
+    dims = homology_dims(C, ideal)[:2]
+    for dim, d_out, d_in, rank in ((dims[0], C.d0, C.d1, C.rank0),
+                                   (dims[1], C.d1, C.d0, C.rank1)):
         ker = module_kernel(d_out, ideal)
         im = _columns(d_in) + _ideal_multiples(ideal, rank, C.vars)
-        assert subquotient_dim(ker, im) == _graph_subquotient_dim(ker, im)
+        assert dim == _graph_subquotient_dim(ker, im)
 
+
+@seed(1401)
+@settings(max_examples=30, deadline=None, database=None)
+@given(homology_complexes())
+def test_graph_image_leads_are_the_image_basis_leads(case):
+    # the main-block leads of a differential's graph basis against the leads
+    # of the reduced basis of its columns and the ideal multiples, built
+    # directly: reduced bases are unique, so the leads match exactly
+    C, ideal = case
+    for d, rows in ((C.d0, C.rank1), (C.d1, C.rank0)):
+        leads = matrix_graph(d, ideal).image_leads()
+        direct = buchberger(_columns(d) + _ideal_multiples(ideal, rows, C.vars))
+        assert sorted(leads) == sorted(direct.lead_terms())
 
 
 # -- one verified graph basis per generator set -------------------------------------
@@ -274,15 +295,16 @@ def _count_raw_bases(monkeypatch):
     return calls
 
 
-def test_subquotient_builds_only_the_image_basis(monkeypatch):
-    calls = _count_raw_bases(monkeypatch)
+def test_subquotient_builds_no_basis(monkeypatch):
     e1 = (P("1"), P("0"))
     e2 = (P("0"), P("1"))
     im = [(P("x"), P("0")), (P("y"), P("0")), (P("0"), P("x")), (P("0"), P("y"))]
-    assert subquotient_dim([e1, e2], im) == 2
-    # the kernel generators are a Groebner basis already; only the image
-    # gets one
-    assert [len(args[0]) for args in calls] == [len(im)]
+    leads = buchberger(im).lead_terms()
+    calls = _count_raw_bases(monkeypatch)
+    # the kernel generators are a Groebner basis already and the image
+    # leads come from the caller
+    assert subquotient_dim([e1, e2], im, leads) == 2
+    assert calls == []
 
 
 def test_corrupted_graph_basis_is_caught(monkeypatch):

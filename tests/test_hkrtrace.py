@@ -265,7 +265,8 @@ def _entrywise_mul(A, B):
     DiffForms up."""
     out = {}
     for (i, j), left in A.entries.items():
-        even, odd = left.split_by_parity()
+        even = DiffForm(A.vars, {d: p for d, p in left.comps.items() if len(d) % 2 == 0})
+        odd = DiffForm(A.vars, {d: p for d, p in left.comps.items() if len(d) % 2})
         for (j2, k), right in B.entries.items():
             if j2 != j:
                 continue
@@ -326,7 +327,7 @@ def test_chern_additive_under_direct_sum(k_xy):
 
 def test_chern_odd_components_vanish(k_xy):
     ch = chern_form(k_xy)
-    assert ch.form.degree_part(1).is_zero()
+    assert not any(len(i) == 1 for i in ch.form.comps)
     with pytest.raises(ValueError):
         ChernForm(k_xy.f, form(XY, {(0,): {(0, 0): Fraction(1)}}))
 

@@ -854,3 +854,13 @@ def test_words_round_trip_through_the_constructor(model, end_x2):
             c = random_chain(pres, rng, max_len=4, max_exp=2, nterms=4, alphas=True)
             for out in (c, b_op(c), B_op(c)):
                 assert Chain(pres, dict(out.words())) == out
+
+
+def test_constructor_names_the_word_form_for_id_words(model, end_x2):
+    # stored words are letter ids; handing them back to the constructor,
+    # which takes atom words, is a ChainError that says so
+    for pres in _canonical_kinds(model, end_x2):
+        c = random_chain(pres, random.Random(1601), max_len=3, max_exp=2, nterms=3)
+        assert c.terms
+        with pytest.raises(ChainError, match="word of atoms"):
+            Chain(pres, dict(c.terms))

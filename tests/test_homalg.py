@@ -15,6 +15,7 @@ from mfhrr.groebner import (
     NonContainmentError,
 )
 from mfhrr.homalg import (
+    _differential_graph,
     _eliminate,
     _homology_half,
     _matrix_columns_truncated,
@@ -403,9 +404,10 @@ def test_complementary_split_reuses_both_halves(monkeypatch):
 
 
 @pytest.mark.parametrize("route", ["koszul", "hom_complex"])
-def test_each_homology_half_builds_two_bases(monkeypatch, route):
-    # module_kernel's graph basis, then the image basis in subquotient_dim;
-    # the sequence's own graph basis is shared and built beforehand
+def test_each_complex_builds_two_graph_bases(monkeypatch, route):
+    # one graph basis per differential, read by both halves: d0's for H0's
+    # kernel and H1's image, d1's for H1's kernel and H0's image; the
+    # sequence's own graph basis is shared and built beforehand
     if route == "koszul":
         xyz = ("x", "y", "z")
         src = koszul_mf(xyz, [pp(s, xyz) for s in ("x", "y^2", "z")],
@@ -418,6 +420,7 @@ def test_each_homology_half_builds_two_bases(monkeypatch, route):
         d4 = ["y", "(x - y)", "(x + y)"]
         C, ideal = hom_complex(_split(d4, 0b001, XY), _split(d4, 0b010, XY)), ()
     _homology_half.cache_clear()
+    _differential_graph.cache_clear()
     calls = []
     real = groebner._buchberger_raw
 
@@ -427,10 +430,10 @@ def test_each_homology_half_builds_two_bases(monkeypatch, route):
 
     monkeypatch.setattr(groebner, "_buchberger_raw", counted)
     homology_dims(C, ideal)
-    # per half: the graph module of d_out carries tags past d_out's rows,
-    # the image lives on d_out's source
-    assert len(calls) == 4
-    for (graph, image), source, rows in (((calls[0], calls[1]), C.rank0, C.rank1),
-                                         ((calls[2], calls[3]), C.rank1, C.rank0)):
-        assert max(c for v in graph[0] for c, _ in v) >= rows
-        assert max(c for v in image[0] for c, _ in v) < source
+    # the graph module of d0, then that of d1: each tags one component past
+    # its differential's rows for every column, so both are graph modules
+    assert len(calls) == 2
+    for graph, rows, cols in ((calls[0], C.rank1, C.rank0), (calls[1], C.rank0, C.rank1)):
+        comps = {c for v in graph[0] for c, _ in v}
+        assert {c for c in comps if c >= rows} == set(range(rows, rows + cols))
+        assert any(c < rows for c in comps)

@@ -12,14 +12,14 @@ from mfhrr.groebner import (ENV_MAX_SPAIRS, IsolatedSingularityError, check_isol
                             graph_basis)
 from mfhrr.hkrtrace import chern_form
 from mfhrr.hochschild import ChainError
-from mfhrr.homalg import _homology_half, euler_chi, is_koszul_regular
+from mfhrr.homalg import _differential_graph, _homology_half, euler_chi, is_koszul_regular
 from mfhrr.mfcat import (MFValidationError, direct_sum_mf, dual_mf, koszul_mf,
                          shift_mf, tensor_mf)
 from mfhrr.pairing import (EPSILON_TABLE, calibrate_sign, canonical_pairing_u0,
                            default_corpus, epsilon_formula, hrr_check,
                            identity_suites, phi_eta_suite, run_corpus)
 from mfhrr.polyring import LaurentError, Poly, parse_poly
-from mfhrr.residue import jacobian_cover
+from mfhrr.residue import jacobian_cover, res_monomial, res_product
 
 X = ("x",)
 XY = ("x", "y")
@@ -201,6 +201,35 @@ D6_CHI = [[2, -1, 1, -1, 1, -2],
           [-2, 1, -1, 1, -1, 2]]
 
 
+def test_one_coefficient_residue_matches_the_full_product(nonzero_tables):
+    # the pairing reads one coefficient of top(Q) * top(P) * det; formed in
+    # full, the product gives the same residue, on D4, on D4 + u*v (n = 4),
+    # on rank-4|4 sums of D4 + u*v factorizations and on rank-4|4 splits of
+    # x^2 + y^3 + z*w, whose Chern tops vanish (a one-variable tensor
+    # factor has Chern form 0)
+    XYZW = ("x", "y", "z", "w")
+    stabilized = nonzero_tables["D4 + u*v"][0]
+    quadrics = [kmf(XYZW, ["x", "y", "z"], ["x", "y^2", "w"]),
+                kmf(XYZW, ["w", "y", "x"], ["z", "y^2", "x"])]
+    sums = [direct_sum_mf(stabilized[0], stabilized[1]),
+            direct_sum_mf(stabilized[2], stabilized[5])]
+    assert all(len(P.delta0) == 4 for P in quadrics + sums)
+    cases = {"D4": nonzero_tables["D4"][0], "D4 + u*v": stabilized,
+             "rank 4|4 sums": sums, "rank 4|4 quadric": quadrics}
+    for name, mfs in cases.items():
+        cover = jacobian_cover(mfs[0].f)
+        values = set()
+        for P in mfs:
+            for Q in mfs:
+                top_q, top_p = chern_form(Q).top(), chern_form(P).top()
+                full = res_monomial(top_q * top_p * cover.det, cover.exponents)
+                raw = pairing._raw_residue_pairing(P, Q)
+                assert raw == full and type(raw) is type(full), name
+                assert res_product(top_q, top_p * cover.det, cover.exponents) == full
+                values.add(full)
+        assert (values == {0}) == (name == "rank 4|4 quadric"), name
+
+
 def test_nonzero_tables_corpus_file(nonzero_tables, capsys):
     # the shipped corpus file, through the CLI: D4 + u*v is given by
     # two-pair Koszul specs (prod S, u; prod S^c, v) instead of tensor_mf
@@ -296,7 +325,8 @@ def test_non_isolated_entry_rejected_run_continues():
 
 def test_spair_budget_fails_entries_not_the_run(monkeypatch):
     # earlier tests cached the corpus's Groebner work; start from nothing
-    for cached in (check_isolated, graph_basis, is_koszul_regular, _homology_half):
+    for cached in (check_isolated, graph_basis, is_koszul_regular, _homology_half,
+                   _differential_graph, pairing._weighted_top):
         cached.cache_clear()
     monkeypatch.setenv(ENV_MAX_SPAIRS, "20")
     rep = run_corpus(default_corpus(), suites=False)

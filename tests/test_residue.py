@@ -7,8 +7,9 @@ import pytest
 
 from mfhrr import groebner
 from mfhrr.groebner import IsolatedSingularityError, NotInIdealError, quotient_basis
-from mfhrr.polyring import Poly, parse_poly
-from mfhrr.residue import ResidueProblem, groth_residue, jacobian_cover, res_monomial
+from mfhrr.polyring import LaurentError, Poly, parse_poly
+from mfhrr.residue import (ResidueProblem, groth_residue, jacobian_cover, res_monomial,
+                           res_product)
 
 X = ("x",)
 XY = ("x", "y")
@@ -60,6 +61,28 @@ def test_monomial_rejects_bad_exponents():
         res_monomial(Poly.one(XY), (1, -2))
     with pytest.raises(ValueError):
         res_monomial(Poly.one(XY), (1,))
+
+
+def test_product_reads_the_coefficient_of_the_product():
+    rng = random.Random(1601)
+    for _ in range(30):
+        g, h = random_poly(XY, rng), random_poly(XY, rng)
+        for a in ((1, 1), (3, 2), (5, 5)):
+            want = res_monomial(g * h, a)
+            got = res_product(g, h, a)
+            assert got == want and type(got) is type(want)
+
+
+def test_product_rejects_what_the_monomial_case_rejects():
+    inv_y = Poly(XY, {(0, -1): 1})
+    ordinary = P("x + y")
+    for left, right in ((inv_y, ordinary), (ordinary, inv_y)):
+        with pytest.raises(LaurentError):
+            res_product(left, right, (2, 2))
+    with pytest.raises(ValueError):
+        res_product(ordinary, ordinary, (1, 0))
+    with pytest.raises(ValueError):
+        res_product(ordinary, Poly.one(X), (1, 1))
 
 
 # -- jacobian covers ------------------------------------------------------------
