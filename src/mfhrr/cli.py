@@ -171,7 +171,7 @@ def _cmd_residue(args):
     f = parse_poly(args.f, variables)
     numerator = parse_poly(num_str, variables)
     partials = [f.partial(i) for i in range(len(variables))]
-    prob = ResidueProblem(numerator, partials, order=args.order)
+    prob = ResidueProblem(numerator, partials)
     cover = prob.cover()
     value = groth_residue(prob, cover)
     report = {"value": str(value), "cover": cover.jsonable()}
@@ -269,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vars", default=None,
                    help="comma-separated variables (default: first appearance "
                         "order in --f/--numerator)")
-    p.add_argument("--order", choices=("degrevlex", "lex"), default="degrevlex",
-                   help="monomial order for the Groebner runs")
 
     p = add("pair", _cmd_pair, "canonical pairing value at u^0")
     p.add_argument("--p", required=True, help="factorization JSON file")

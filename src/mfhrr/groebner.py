@@ -8,7 +8,7 @@ machine ints.  Every working basis element is stored monic, so reduction and
 S-vectors multiply and subtract only; the one division is the monic step.
 Reduction keeps the terms still to look at on a heap.
 Module terms are compared position-over-term: lower component wins, ties
-broken by the ring order (degrevlex by default).  Ideals are rank-one
+broken by degrevlex, the engine's one term order.  Ideals are rank-one
 modules.
 
 Cofactor certificates and syzygies both come from one construction,
@@ -25,6 +25,14 @@ basis of the kernel, and the main parts of the other elements are one of
 the image plus (a)·F, so one graph basis of a differential serves both
 homology halves it enters, and a subquotient only counts the lead terms
 between a kernel and an image.
+
+An ideal supported at the origin (a Jacobian ideal in check_isolated, a
+residue's denominators) is read off one graph basis of its generators too:
+its reduced Groebner basis is the main block, the least exponents N_i with
+x_i^N_i in the ideal come from normal forms against it, and the cofactors
+of the pure-power cover x_i^N_i = sum_j c_ij g_j are reduced against the
+same graph.  buchberger builds a plain basis and is kept as the reference
+these are tested against.
 
 The engine takes ordinary polynomials only: a negative exponent raises
 LaurentError where a polynomial enters it.
@@ -72,38 +80,20 @@ class VerificationError(RuntimeError):
     """An exact re-check of a syzygy or cofactor certificate failed."""
 
 
-# -- term orders -------------------------------------------------------------
+# -- the term order -----------------------------------------------------------
+# Position over term: the lower component is the larger term, ties broken by
+# degrevlex.  This is the engine's one order.
 
-def lex_key(mono):
-    return tuple(mono)
-
-
-RING_KEYS = {"degrevlex": degrevlex_key, "lex": lex_key}
-
-
-def term_key(order: str):
-    ring = RING_KEYS[order]
-
-    def key(term):
-        comp, mono = term
-        return (-comp, ring(mono))
-
-    return key
+def _term_key(term):
+    comp, mono = term
+    return (-comp, degrevlex_key(mono))
 
 
-# flat keys under which the larger term of term_key is the smaller one, so a
-# heapq min-heap pops the largest term first
-def _degrevlex_heap_key(term):
+def _heap_key(term):
+    """A flat key under which the larger term of _term_key is the smaller
+    one, so a heapq min-heap pops the largest term first."""
     comp, mono = term
     return (comp, -sum(mono), mono[::-1])
-
-
-def _lex_heap_key(term):
-    comp, mono = term
-    return (comp, tuple(-e for e in mono))
-
-
-HEAP_KEYS = {"degrevlex": _degrevlex_heap_key, "lex": _lex_heap_key}
 
 
 def _mono_mul(a, b):
@@ -138,21 +128,16 @@ def v_sub_scaled(v, c, mono, g):
             del out[t]
     return out
 
-def v_lead(v, key):
-    return max(v, key=key)
-
 
 class _Basis:
     """Working basis of monic elements with leading-term bookkeeping."""
 
-    def __init__(self, order: str):
-        self.key = term_key(order)
-        self.heap_key = HEAP_KEYS[order]
+    def __init__(self):
         self.elems: list[dict] = []
         self.leads: list[tuple] = []
 
     def add(self, v):
-        lead = v_lead(v, self.key)
+        lead = max(v, key=_term_key)
         lc = v[lead]
         if lc != 1:
             v = {t: _exact(Fraction(a, lc)) for t, a in v.items()}
@@ -176,9 +161,8 @@ def _reduce_full(v, basis: _Basis):
     heap key; each subtraction runs in place and queues only the terms it
     creates, all of them below the term it removed.
     """
-    hkey = basis.heap_key
     rem = dict(v)
-    heap = [(hkey(t), t) for t in rem]
+    heap = [(_heap_key(t), t) for t in rem]
     heapq.heapify(heap)
     queued = set(rem)
     while heap:
@@ -197,7 +181,7 @@ def _reduce_full(v, basis: _Basis):
                 rem[s] = _exact(b)
                 if s not in queued:
                     queued.add(s)
-                    heapq.heappush(heap, (hkey(s), s))
+                    heapq.heappush(heap, (_heap_key(s), s))
             elif s in rem:
                 del rem[s]
     return rem
@@ -213,15 +197,14 @@ def _max_spairs():
     return DEFAULT_MAX_SPAIRS
 
 
-def _buchberger_raw(vectors, order: str, use_product_criterion: bool):
+def _buchberger_raw(vectors, use_product_criterion: bool):
     """Reduced Groebner basis of the module generated by the vectors.
 
     Returns (basis, stats), basis a _Basis whose elements are monic and
     sorted by leading term, smallest first.
     """
     max_pairs = _max_spairs()
-    key = term_key(order)
-    basis = _Basis(order)
+    basis = _Basis()
     processed = 0
 
     for v in vectors:
@@ -243,7 +226,7 @@ def _buchberger_raw(vectors, order: str, use_product_criterion: bool):
             if use_product_criterion and lcm == _mono_mul(mi, mj):
                 continue
             counter += 1
-            heapq.heappush(pairs, (key((ci, lcm)), counter, i, j, lcm))
+            heapq.heappush(pairs, (_term_key((ci, lcm)), counter, i, j, lcm))
 
     for j in range(len(basis.elems)):
         push_pairs(j)
@@ -283,7 +266,7 @@ def _buchberger_raw(vectors, order: str, use_product_criterion: bool):
 
     # minimalize: drop elements whose lead is divisible by another's,
     # keeping the rest sorted by lead, smallest first
-    order_idx = sorted(range(len(basis.elems)), key=lambda i: key(basis.leads[i]))
+    order_idx = sorted(range(len(basis.elems)), key=lambda i: _term_key(basis.leads[i]))
     kept: list[int] = []
     for i in order_idx:
         ci, mi = basis.leads[i]
@@ -292,13 +275,13 @@ def _buchberger_raw(vectors, order: str, use_product_criterion: bool):
             continue
         kept.append(i)
 
-    minimal = _Basis(order)
+    minimal = _Basis()
     minimal.elems = [basis.elems[i] for i in kept]
     minimal.leads = [basis.leads[i] for i in kept]
 
     # tail-reduce each monic element against the minimal basis: an
     # element's lead divides none of its own tail terms, and the leads stay
-    reduced = _Basis(order)
+    reduced = _Basis()
     reduced.leads = minimal.leads
     for v, lead in zip(minimal.elems, minimal.leads):
         tail = dict(v)
@@ -316,7 +299,6 @@ def _buchberger_raw(vectors, order: str, use_product_criterion: bool):
 @dataclass
 class GroebnerBasis:
     vars: tuple
-    order: str
     ncomp: int
     basis: _Basis         # monic Vec dicts sorted by lead, and their leads
     stats: dict
@@ -362,15 +344,15 @@ def _gens_info(gens):
     return gens, first[0].vars, len(first)
 
 
-def buchberger(gens, order: str = "degrevlex") -> GroebnerBasis:
+def buchberger(gens) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal or submodule generated by gens.
 
     gens: list of Poly (ideal) or list of equal-length Poly tuples (module).
     """
     gens, variables, ncomp = _gens_info(gens)
     vectors = [_to_vec(g, ncomp) for g in gens]
-    basis, stats = _buchberger_raw(vectors, order, ncomp == 1)
-    return GroebnerBasis(tuple(variables), order, ncomp, basis, stats)
+    basis, stats = _buchberger_raw(vectors, ncomp == 1)
+    return GroebnerBasis(tuple(variables), ncomp, basis, stats)
 
 
 def normal_form(p, gb: GroebnerBasis):
@@ -441,7 +423,7 @@ class GraphBasis:
     the ideal's own graph basis.
     """
 
-    def __init__(self, gens, order: str = "degrevlex", ideal=()):
+    def __init__(self, gens, ideal=()):
         gens, variables, self.ncomp = _gens_info(gens)
         self.vars = tuple(variables)
         self.gens = [_to_vec(g, self.ncomp) for g in gens]
@@ -454,11 +436,16 @@ class GraphBasis:
             terms = _to_vec(a, 1)
             graph.extend({(i, m): c for (_, m), c in terms.items()}
                          for i in range(self.ncomp))
-        self.basis, _ = _buchberger_raw(graph, order, False)
+        self.basis, self.stats = _buchberger_raw(graph, False)
 
     def syzygies(self) -> list:
         """Tuples c of Poly with sum c_k g_k = 0 (in (ideal)·F, given an
-        ideal), generating all of them."""
+        ideal), generating all of them.
+
+        They are the tag-block elements.  Position over term with the main
+        block first is an elimination order, so they are a reduced Groebner
+        basis of the module they span, in the engine's order on F_s (what
+        subquotient_dim takes)."""
         ncomp = self.ncomp
         return [self._verified({(c - ncomp, m): a for (c, m), a in e.items()}, {})
                 for e, (comp, _) in zip(self.basis.elems, self.basis.leads)
@@ -472,6 +459,18 @@ class GraphBasis:
         an image)."""
         ncomp = self.ncomp
         return [t for t in self.basis.leads if t[0] < ncomp]
+
+    def image_basis(self) -> GroebnerBasis:
+        """The main parts of the main-block elements: the reduced Groebner
+        basis of span(gens) + (ideal)·F that buchberger builds, with the
+        leads image_leads gives and the statistics of this graph's run."""
+        ncomp = self.ncomp
+        basis = _Basis()
+        for e, lead in zip(self.basis.elems, self.basis.leads):
+            if lead[0] < ncomp:
+                basis.elems.append({t: c for t, c in e.items() if t[0] < ncomp})
+                basis.leads.append(lead)
+        return GroebnerBasis(self.vars, ncomp, basis, self.stats)
 
     def cofactors(self, target) -> tuple:
         """Tuple c of Poly with sum c_k g_k = target (modulo (ideal)·F, given
@@ -518,15 +517,6 @@ def graph_basis(gens: tuple) -> GraphBasis:
     return GraphBasis(gens)
 
 
-def syzygies(gens):
-    """Generators of the syzygy module {c : sum c_k gens[k] = 0}.
-
-    Each syzygy is a tuple of Poly of length len(gens).  Every returned
-    vector is verified exactly.
-    """
-    return GraphBasis(gens).syzygies()
-
-
 def matrix_graph(matrix, ideal=()) -> GraphBasis:
     """GraphBasis of the columns of an r x s Poly matrix (r, s >= 1), with
     the ideal adjoined untagged when one is given.
@@ -546,28 +536,12 @@ def matrix_graph(matrix, ideal=()) -> GraphBasis:
     return GraphBasis(cols, ideal=ideal)
 
 
-def module_kernel(matrix, ideal=()):
-    """Generators of {v in F_s : matrix·v in (ideal)·F_r} for a r x s Poly
-    matrix; with no ideal, the kernel of the map F_s -> F_r.
-
-    Returns a list of length-s tuples of Poly, the tag-block elements of
-    matrix_graph(matrix, ideal), and [] for a matrix with no columns.
-    Under position-over-term with the main block first this is an
-    elimination order, so they are a reduced Groebner basis of the whole
-    module, in the engine's order on F_s (what subquotient_dim takes);
-    each one is verified, modulo the ideal through cofactors on the ideal.
-    """
-    if matrix and not any(len(row) for row in matrix):
-        return []
-    return matrix_graph(matrix, ideal).syzygies()
-
-
 def subquotient_dim(ker_gens, im_gens, im_leads) -> int:
     """Rational dimension of (span ker_gens) / (span im_gens).
 
     Preconditions: ker_gens is a Groebner basis of its span in the engine's
     order (degrevlex, position over term, lower component first), as
-    module_kernel returns it, and its elements need not be monic; im_leads
+    GraphBasis.syzygies returns it, and its elements need not be monic; im_leads
     are the lead terms of a Groebner basis of span im_gens in that order,
     as GraphBasis.image_leads gives them for a graph basis of the same
     generators.  Each image generator is reduced to zero against ker_gens,
@@ -587,7 +561,7 @@ def subquotient_dim(ker_gens, im_gens, im_leads) -> int:
                 raise NonContainmentError(f"generator {i} lies outside the zero module")
         return 0
     _, variables, ncomp = _gens_info(ker_gens)
-    ker = _Basis("degrevlex")
+    ker = _Basis()
     for g in ker_gens:
         vec = _to_vec(g, ncomp)
         if vec:
@@ -634,16 +608,20 @@ def _lead_gap(big, small, variables) -> int:
 
 # -- isolated singularity validation ------------------------------------------
 
-def _origin_support(gens, order: str, what: str):
-    """Groebner basis and quotient monomials of an ideal supported at the
-    origin alone.
+def _origin_support(gens, what: str):
+    """(graph, basis, quotient monomials, exponents) of an ideal supported
+    at the origin alone, all from one GraphBasis(gens).
 
-    Raises IsolatedSingularityError unless the quotient is finite and
-    nonzero and every x_i^mu lies in the ideal, mu the quotient dimension:
-    then the ideal's zero set is the origin only.  ``what`` names the ideal
-    in the error messages.
+    The basis is the graph's image_basis, the reduced Groebner basis
+    buchberger(gens) returns.  exponents[i] is the least N_i with x_i^N_i in
+    the ideal, found by NF(x_i^k) = NF(x_i NF(x_i^(k-1))) for k <= mu, mu the
+    quotient dimension.  Raises IsolatedSingularityError unless the quotient
+    is finite and nonzero and every x_i^mu lies in the ideal: then the
+    ideal's zero set is the origin only.  ``what`` names the ideal in the
+    error messages.
     """
-    gb = buchberger(gens, order)
+    graph = GraphBasis(gens)
+    gb = graph.image_basis()
     try:
         qb = quotient_basis(gb)
     except NotZeroDimensionalError as e:
@@ -653,23 +631,34 @@ def _origin_support(gens, order: str, what: str):
         raise IsolatedSingularityError(
             f"{what} is the unit ideal: it has no zero at the origin")
     n = len(gb.vars)
+    exponents = []
     for i in range(n):
-        power = Poly.monomial(gb.vars, tuple(mu if j == i else 0 for j in range(n)))
-        if not normal_form(power, gb).is_zero():
-            raise IsolatedSingularityError(
-                f"{what} is not supported at the origin: "
-                f"{gb.vars[i]}^{mu} is not in it")
-    return gb, qb
+        power, k = {(0, (0,) * n): 1}, 0
+        while power:
+            if k == mu:
+                raise IsolatedSingularityError(
+                    f"{what} is not supported at the origin: "
+                    f"{gb.vars[i]}^{mu} is not in it")
+            power = _reduce_full({(0, m[:i] + (m[i] + 1,) + m[i + 1:]): c
+                                  for (_, m), c in power.items()}, gb.basis)
+            k += 1
+        exponents.append(k)
+    return graph, gb, qb, tuple(exponents)
 
 
 @dataclass(frozen=True)
 class IsolatedReport:
     """The Jacobian record of a potential: Milnor number, Groebner basis
-    of the Jacobian ideal and the monomial basis of the Milnor algebra."""
+    of the Jacobian ideal, the monomial basis of the Milnor algebra, the
+    graph basis of the partials the basis was read from (it gives the
+    cover's cofactors), and the least exponents N_i with x_i^N_i in the
+    Jacobian ideal."""
 
     milnor: int
     jacobian_gb: GroebnerBasis
     monomial_basis: tuple
+    graph: GraphBasis
+    exponents: tuple
 
 
 @lru_cache(maxsize=None)
@@ -680,8 +669,9 @@ def check_isolated(f: Poly) -> IsolatedReport:
     Q[x]/(df/dx_1, ..., df/dx_n) is finite dimensional; every variable is
     nilpotent in it (so the critical scheme is concentrated at 0).
 
-    The report is computed once per f and shared by every later call; a
-    rejection raises anew on each call, since errors are not cached.
+    The report is computed once per f, from one Buchberger run, and shared
+    by every later call; a rejection raises anew on each call, since errors
+    are not cached.
     """
     n = len(f.vars)
     if f.constant_term():
@@ -693,5 +683,5 @@ def check_isolated(f: Poly) -> IsolatedReport:
                 f"the origin is not a critical point: d/d{f.vars[i]} has a constant term")
     if all(p.is_zero() for p in partials):
         raise IsolatedSingularityError("f has identically vanishing gradient")
-    gb, qb = _origin_support(partials, "degrevlex", "the jacobian ideal")
-    return IsolatedReport(len(qb), gb, tuple(qb))
+    graph, gb, qb, exponents = _origin_support(partials, "the jacobian ideal")
+    return IsolatedReport(len(qb), gb, tuple(qb), graph, exponents)

@@ -3,7 +3,7 @@
 The shipping routes are exact.  Each differential d gets one graph basis
 of its columns, matrix_graph(d, a) (with a = () off the Koszul route),
 built once per (d, a): its tag block is a Groebner basis of ker d modulo
-(a)·F, the one module_kernel(d, a) returns, and its other elements give
+(a)·F, its verified syzygies, and its other elements give
 the lead terms of im d + (a)·F.  Each homology dimension is a subquotient
 dimension over the polynomial ring, counted as the kernel's lead terms
 outside the image's, so a complex builds two Groebner bases in all.
@@ -108,9 +108,9 @@ def _differential_graph(d, ideal):
     """(kernel, image leads) of the matrix d modulo (ideal)·F, both read off
     matrix_graph(d, ideal), built once per (d, ideal) by content.
 
-    The kernel is the verified tag block, as module_kernel(d, ideal) returns
-    it; the image leads are those of the main-block elements, the lead
-    terms of im d + (ideal)·F (GraphBasis.image_leads).
+    The kernel is the verified tag block, the graph's syzygies; the image
+    leads are those of the main-block elements, the lead terms of
+    im d + (ideal)·F (GraphBasis.image_leads).
     """
     graph = matrix_graph(d, ideal)
     return graph.syzygies(), graph.image_leads()

@@ -63,7 +63,8 @@ def mat_transpose(A):
 
 
 class MatrixFactorization:
-    """Validated pair (delta0, delta1) with delta1 delta0 = delta0 delta1 = f.
+    """Validated pair (delta0, delta1) with delta1 delta0 = delta0 delta1 = f,
+    on two summands of the same positive rank.
 
     ``koszul`` is the sequence a when the factorization is known to be
     isomorphic to a Koszul factorization K(a, b) (koszul_mf, and tensor_mf
@@ -88,6 +89,10 @@ class MatrixFactorization:
         if len(self.delta1) != self.rank0:
             raise MFValidationError(
                 f"delta1 has {len(self.delta1)} rows, expected rank0={self.rank0}")
+        if self.rank0 != self.rank1 or self.rank0 == 0:
+            raise MFValidationError(
+                f"ranks {self.rank0}|{self.rank1}: both summands must have "
+                "the same positive rank")
         self._check_square()
         self.koszul = None
 

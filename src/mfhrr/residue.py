@@ -9,6 +9,13 @@ g * det(c).  The cofactor matrices come out of the Groebner engine with
 exact membership certificates, and the final value is independent of
 which cover was chosen (this is exercised in the test suite rather than
 assumed).
+
+Each denominator ideal is validated and covered from one graph basis of its
+generators (groebner._origin_support): the Jacobian record of check_isolated,
+or a ResidueProblem, keeps that graph, the ideal's reduced Groebner basis
+(degrevlex, the engine's one term order) and the least exponents N_i with
+x_i^N_i in the ideal, and the minimal cover reads its cofactors off the kept
+graph, so building a cover runs no Buchberger.
 """
 
 from __future__ import annotations
@@ -17,13 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .groebner import (
-    GraphBasis,
-    IsolatedSingularityError,
-    _origin_support,
-    check_isolated,
-    normal_form,
-)
+from .groebner import IsolatedSingularityError, _origin_support, check_isolated
 from .polyring import LaurentError, Poly, _exact
 
 
@@ -125,45 +126,24 @@ def _pure_power(variables, i, k) -> Poly:
     return Poly.monomial(variables, tuple(k if j == i else 0 for j in range(len(variables))))
 
 
-def _build_cover(denominators, gb, exponents, bound, order) -> DenominatorCover:
-    """Minimal (or caller-chosen) pure-power exponents plus cofactors."""
-    variables = denominators[0].vars
-    n = len(variables)
-    if exponents is None:
-        found = []
-        for i in range(n):
-            k = 1
-            while not normal_form(_pure_power(variables, i, k), gb).is_zero():
-                k += 1
-                if k > bound:
-                    raise IsolatedSingularityError(
-                        f"no power of {variables[i]} up to {bound} in the ideal "
-                        "(validation should have caught this)")
-            found.append(k)
-        exponents = tuple(found)
-    else:
-        exponents = tuple(exponents)
-        if len(exponents) != n or any((not isinstance(e, int)) or e <= 0 for e in exponents):
-            raise ValueError(f"bad cover exponents {exponents}")
-    graph = GraphBasis(denominators, order)
-    rows = tuple(graph.cofactors(_pure_power(variables, i, e))
+def _build_cover(graph, exponents) -> DenominatorCover:
+    """The cover x_i^exponents[i] = sum_j c_ij g_j, its rows read off the
+    graph basis of the generators g; NotInIdealError when a power is not in
+    the ideal."""
+    rows = tuple(graph.cofactors(_pure_power(graph.vars, i, e))
                  for i, e in enumerate(exponents))
     return DenominatorCover(exponents, rows)
 
 
 @lru_cache(maxsize=None)
 def jacobian_cover(f: Poly) -> DenominatorCover:
-    """Minimal pure-power cover of the Jacobian ideal of f, from
-    check_isolated's basis.
+    """Minimal pure-power cover of the Jacobian ideal of f, read off
+    check_isolated's record: its least exponents and its graph basis.
 
-    The exponents are found by raising each variable until its normal form
-    vanishes.  The cover is built once per f and shared; errors are not
-    cached.
+    The cover is built once per f and shared; errors are not cached.
     """
     report = check_isolated(f)
-    partials = [f.partial(i) for i in range(len(f.vars))]
-    return _build_cover(partials, report.jacobian_gb, None, report.milnor,
-                        report.jacobian_gb.order)
+    return _build_cover(report.graph, report.exponents)
 
 
 class ResidueProblem:
@@ -173,12 +153,15 @@ class ResidueProblem:
     negative exponent), n denominators over the n ring variables, a finite
     and nonzero quotient algebra, and every variable nilpotent in it, i.e.
     the ideal is supported at the origin alone (the same test that
-    check_isolated applies to a Jacobian ideal).
+    check_isolated applies to a Jacobian ideal).  The problem keeps what
+    that test reads off one graph basis of the denominators: the graph, the
+    reduced basis gb, the quotient monomials and the least exponents.
     """
 
-    __slots__ = ("numerator", "denominators", "gb", "quotient_monomials", "order")
+    __slots__ = ("numerator", "denominators", "gb", "quotient_monomials", "graph",
+                 "exponents")
 
-    def __init__(self, numerator: Poly, denominators, order: str = "degrevlex"):
+    def __init__(self, numerator: Poly, denominators):
         denominators = list(denominators)
         if not denominators:
             raise ValueError("no denominators given")
@@ -193,13 +176,15 @@ class ResidueProblem:
             raise IsolatedSingularityError("zero denominator generator")
         self.numerator = numerator
         self.denominators = denominators
-        self.order = order
-        self.gb, self.quotient_monomials = _origin_support(
-            denominators, order, "the denominator ideal")
+        self.graph, self.gb, self.quotient_monomials, self.exponents = _origin_support(
+            denominators, "the denominator ideal")
 
     def cover(self, exponents=None) -> DenominatorCover:
-        return _build_cover(self.denominators, self.gb, exponents,
-                            len(self.quotient_monomials), self.order)
+        """The pure-power cover at the given exponents, by default the least
+        ones found at construction."""
+        exponents = self.exponents if exponents is None else tuple(exponents)
+        _residue_target(exponents, self.graph.vars)
+        return _build_cover(self.graph, exponents)
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.denominators)

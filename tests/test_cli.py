@@ -71,11 +71,14 @@ def test_residue_vars_override(capsys):
     assert json.loads(out)["value"] == "-1"
 
 
-def test_residue_lex_order_same_value(capsys):
-    code, out, _ = run_cli(capsys, "residue", "--f", "x^2 + y^3",
-                           "--numerator", "y", "--order", "lex")
+def test_residue_output_bytes_are_pinned(capsys):
+    # exponents (3, 3) and the cofactors come from the Jacobian ideal's one
+    # graph basis
+    code, out, _ = run_cli(capsys, "residue", "--f", "x^3 + x*y^2",
+                           "--numerator", "x^2")
     assert code == 0
-    assert json.loads(out)["value"] == "1/6"
+    assert out == ('{"cover":{"cofactors":[["1/3*x","-1/6*y"],["y","-3/2*x"]],'
+                   '"det":"-1/2*x^2 + 1/6*y^2","exponents":[3,3]},"value":"1/6"}\n')
 
 
 def test_residue_rejects_non_isolated(capsys):
@@ -104,11 +107,13 @@ def test_validate_text_and_json(capsys, mf_file):
 
 def test_validate_rejects_broken_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({
-        "vars": ["x"], "f": "x^2", "delta0": [["x"]], "delta1": [["x^2"]]}))
-    code, _, err = run_cli(capsys, "validate", "--mf", str(bad))
-    assert code == 1
-    assert "error:" in err
+    # delta^2 != f, a 0|1 block with no columns, and an empty 0|0 pair
+    for delta0, delta1 in (([["x"]], [["x^2"]]), ([[]], []), ([], [])):
+        bad.write_text(json.dumps({
+            "vars": ["x"], "f": "x^2", "delta0": delta0, "delta1": delta1}))
+        code, out, err = run_cli(capsys, "validate", "--mf", str(bad))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
 
 
 def test_validate_rejects_string_matrix(tmp_path, capsys):
@@ -211,15 +216,17 @@ def test_malformed_corpus_entries_fail_alone(tmp_path, capsys):
     good = {"name": "good", "vars": ["x", "y"], "f": "x*y",
             "mfs": [{"koszul": {"a": ["x"], "b": ["y"]}}]}
     number_entry = {"vars": ["x"], "f": "x^2", "delta0": [[2]], "delta1": [["x"]]}
+    no_columns = {"vars": ["x"], "f": "x^2", "delta0": [[]], "delta1": []}
     bad = [{"name": "float f", "vars": ["x"], "f": 1.5},
            {"name": "number entry", "vars": ["x"], "f": "x^2", "mfs": [number_entry]},
+           {"name": "no columns", "vars": ["x"], "f": "x^2", "mfs": [no_columns]},
            {"name": "number vars", "vars": 5, "f": "x"}, [3]]
     corpus = tmp_path / "corpus.json"
     corpus.write_text(json.dumps([good, *bad]))
     code, out, _ = run_cli(capsys, "hrr", "--corpus", str(corpus))
     assert code == 1
     rows = json.loads(out)["entries"]
-    assert [r["pass"] for r in rows] == [True, False, False, False, False]
+    assert [r["pass"] for r in rows] == [True, False, False, False, False, False]
     assert "error" not in rows[0] and all("error" in r for r in rows[1:])
     for data in (number_entry, {**number_entry, "f": 1.5}):
         mf = tmp_path / "mf.json"

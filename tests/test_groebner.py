@@ -19,14 +19,13 @@ from mfhrr.groebner import (
     buchberger,
     check_isolated,
     matrix_graph,
-    module_kernel,
     normal_form,
     quotient_basis,
     subquotient_dim,
-    syzygies,
 )
 from mfhrr.homalg import _columns, _ideal_multiples, homology_dims
 from mfhrr.mfcat import Z2Complex, hom_complex, koszul_mf
+from mfhrr.pairing import default_corpus
 from mfhrr.polyring import Poly, parse_poly
 
 XY = ("x", "y")
@@ -56,14 +55,6 @@ def test_quotient_basis_hand_worked():
     gb = buchberger([P("x^2"), P("x*y + y^2")])
     qb = quotient_basis(gb)
     assert sorted(qb) == [(0, 0), (0, 1), (0, 2), (1, 0)]  # 1, y, y^2, x
-
-
-def test_lex_vs_degrevlex():
-    p = P("x - y^2")
-    lex = buchberger([p], order="lex")
-    drl = buchberger([p], order="degrevlex")
-    assert normal_form(P("x"), lex) == P("y^2")
-    assert normal_form(P("y^2"), drl) == P("x")
 
 
 def test_principal_ideal_normalizes():
@@ -115,7 +106,7 @@ def test_member_vector_case():
 # -- syzygies and kernels -------------------------------------------------------
 
 def test_koszul_syzygy():
-    syz = syzygies([P("x"), P("y")])
+    syz = GraphBasis([P("x"), P("y")]).syzygies()
     assert syz  # the Koszul relation (y, -x) up to sign/scale
     GraphBasis(syz).cofactors((P("y"), P("-x")))
     for a, b in syz:
@@ -123,13 +114,13 @@ def test_koszul_syzygy():
 
 
 def test_duplicate_generator_syzygy():
-    syz = syzygies([P("x"), P("x")])
+    syz = GraphBasis([P("x"), P("x")]).syzygies()
     GraphBasis(syz).cofactors((P("1"), P("-1")))
 
 
 def test_module_kernel_rows():
     M = [[P("x"), P("y")]]
-    ker = module_kernel(M)
+    ker = matrix_graph(M).syzygies()
     for k in ker:
         assert k[0] * P("x") + k[1] * P("y") == Poly.zero(XY)
     GraphBasis(ker).cofactors((P("y"), P("-x")))
@@ -137,13 +128,13 @@ def test_module_kernel_rows():
 
 def test_module_kernel_injective_map():
     # multiplication by x on Q[x,y] is injective
-    assert all(k[0].is_zero() for k in module_kernel([[P("x")]]))
+    assert all(k[0].is_zero() for k in matrix_graph([[P("x")]]).syzygies())
 
 
 def test_module_kernel_two_rows():
     # map Q^2 -> Q^2 given by [[x, y], [0, 0]]; kernel generated by (y, -x)
     M = [[P("x"), P("y")], [P("0"), P("0")]]
-    ker = module_kernel(M)
+    ker = matrix_graph(M).syzygies()
     GraphBasis(ker).cofactors((P("y"), P("-x")))
 
 
@@ -262,7 +253,7 @@ def test_lead_count_matches_graph_reference(case):
     dims = homology_dims(C, ideal)[:2]
     for dim, d_out, d_in, rank in ((dims[0], C.d0, C.d1, C.rank0),
                                    (dims[1], C.d1, C.d0, C.rank1)):
-        ker = module_kernel(d_out, ideal)
+        ker = matrix_graph(d_out, ideal).syzygies()
         im = _columns(d_in) + _ideal_multiples(ideal, rank, C.vars)
         assert dim == _graph_subquotient_dim(ker, im)
 
@@ -273,12 +264,32 @@ def test_lead_count_matches_graph_reference(case):
 def test_graph_image_leads_are_the_image_basis_leads(case):
     # the main-block leads of a differential's graph basis against the leads
     # of the reduced basis of its columns and the ideal multiples, built
-    # directly: reduced bases are unique, so the leads match exactly
+    # directly: reduced bases are unique, so leads and elements match exactly
     C, ideal = case
     for d, rows in ((C.d0, C.rank1), (C.d1, C.rank0)):
-        leads = matrix_graph(d, ideal).image_leads()
+        graph = matrix_graph(d, ideal)
         direct = buchberger(_columns(d) + _ideal_multiples(ideal, rows, C.vars))
-        assert sorted(leads) == sorted(direct.lead_terms())
+        assert sorted(graph.image_leads()) == sorted(direct.lead_terms())
+        assert graph.image_basis().elements == direct.elements
+
+
+def _potentials():
+    """The default corpus potentials, D4 and the pinned residue example."""
+    fs = [parse_poly(e["f"], tuple(e["vars"])) for e in default_corpus()]
+    return fs + [P("y*(x - y)*(x + y)"), P("x^3 + x*y^2")]
+
+
+def test_graph_image_basis_is_the_reduced_basis_of_an_ideal():
+    # an ideal's record reads its basis off one graph basis; reduced bases
+    # are unique, so it equals buchberger's element by element
+    rng = random.Random(1701)
+    ideals = [[_random_poly(rng, XYZ if trial % 2 else XY)
+               for _ in range(rng.randrange(1, 4))] for trial in range(20)]
+    ideals += [[f.partial(i) for i in range(len(f.vars))] for f in _potentials()]
+    for gens in ideals:
+        derived, direct = GraphBasis(gens).image_basis(), buchberger(gens)
+        assert derived.elements == direct.elements
+        assert derived.lead_terms() == direct.lead_terms()
 
 
 # -- one verified graph basis per generator set -------------------------------------
@@ -319,7 +330,7 @@ def test_corrupted_graph_basis_is_caught(monkeypatch):
 
     monkeypatch.setattr(groebner, "_buchberger_raw", corrupted)
     with pytest.raises(VerificationError):
-        syzygies([P("x"), P("y")])
+        GraphBasis([P("x"), P("y")]).syzygies()
     with pytest.raises(VerificationError):
         GraphBasis([P("x^2"), P("x*y + y^2")]).cofactors(P("y^3"))
 
@@ -333,7 +344,7 @@ def _projected_kernel(matrix, ideal):
     zero = Poly.zero(matrix[0][0].vars)
     wide = [list(row) + [a if i == j else zero for a in ideal for j in range(r)]
             for i, row in enumerate(matrix)]
-    return [v[:s] for v in module_kernel(wide)
+    return [v[:s] for v in matrix_graph(wide).syzygies()
             if any(not p.is_zero() for p in v[:s])]
 
 
@@ -368,7 +379,7 @@ def test_kernel_mod_ideal_matches_projected_kernel_on_koszul_splits():
 
         a, Q = split().koszul, split()
         for d in (Q.delta0, Q.delta1):
-            new, old = module_kernel(d, a), _projected_kernel(d, a)
+            new, old = matrix_graph(d, a).syzygies(), _projected_kernel(d, a)
             assert new and old
             for v in new:
                 assert _in_span_mod(old, a, v)
@@ -381,7 +392,7 @@ def test_module_kernel_without_ideal_is_the_plain_kernel():
     for _ in range(10):
         rows, cols = rng.randint(1, 2), rng.randint(1, 3)
         M = [[_random_poly(rng, XY) for _ in range(cols)] for _ in range(rows)]
-        assert module_kernel(M) == module_kernel(M, ())
+        assert matrix_graph(M).syzygies() == matrix_graph(M, ()).syzygies()
 
 
 # (x, y) -> x v1 + y v2 lands in (x^2) on (y, -x) and (x, 0); the second has
@@ -391,7 +402,7 @@ KERNEL_MOD = ([[P("x"), P("y")]], (P("x^2"),))
 
 def test_kernel_mod_ideal_hand_worked():
     M, ideal = KERNEL_MOD
-    ker = module_kernel(M, ideal)
+    ker = matrix_graph(M, ideal).syzygies()
     for v in ((P("y"), P("-x")), (P("x"), P("0")), (P("0"), P("x^2"))):
         assert _in_span_mod(ker, ideal, v)
     assert not _in_span_mod(ker, ideal, (P("1"), P("0")))
@@ -412,7 +423,7 @@ def test_corrupted_kernel_generator_is_caught(monkeypatch):
 
     monkeypatch.setattr(groebner, "_buchberger_raw", corrupted)
     with pytest.raises(VerificationError):
-        module_kernel(M, ideal)
+        matrix_graph(M, ideal).syzygies()
 
 
 def test_corrupted_certificate_is_caught(monkeypatch):
@@ -423,7 +434,7 @@ def test_corrupted_certificate_is_caught(monkeypatch):
         e[tag] *= 2
     monkeypatch.setattr(groebner, "graph_basis", lambda gens: bad)
     with pytest.raises(VerificationError):
-        module_kernel(M, ideal)
+        matrix_graph(M, ideal).syzygies()
 
 
 # -- stored coefficients ------------------------------------------------------------
@@ -467,7 +478,7 @@ def test_stored_coefficients_are_int_or_proper_fraction():
 def _sorted_reduce(v, basis):
     """The reduction _reduce_full replaced, kept as its reference: re-sort
     the remaining terms after every step and reduce the largest."""
-    key = basis.key
+    key = groebner._term_key
     rem = dict(v)
     pending = sorted(rem, key=key, reverse=True)
     while pending:
@@ -490,8 +501,7 @@ def _random_vec(rng, ncomp, nvars):
             rng.choice(coeffs) for _ in range(rng.randrange(1, 7))}
 
 
-@pytest.mark.parametrize("order", ["degrevlex", "lex"])
-def test_heap_reduction_matches_sorted_reference(monkeypatch, order):
+def test_heap_reduction_matches_sorted_reference(monkeypatch):
     rng = random.Random(1305)
     real = groebner._reduce_full
     snapshots = []
@@ -508,12 +518,12 @@ def test_heap_reduction_matches_sorted_reference(monkeypatch, order):
         rank = 1 + trial % 2
         gens = [tuple(_random_poly(rng, XY) for _ in range(rank))
                 for _ in range(rng.randrange(2, 4))]
-        finals.append(buchberger(gens, order).basis)
-        finals.append(GraphBasis(gens, order).basis)
+        finals.append(buchberger(gens).basis)
+        finals.append(GraphBasis(gens).basis)
     monkeypatch.setattr(groebner, "_reduce_full", real)
     working = []
     for elems, leads in snapshots[::max(1, len(snapshots) // 40)]:
-        basis = groebner._Basis(order)
+        basis = groebner._Basis()
         basis.elems, basis.leads = elems, leads
         working.append(basis)
     assert working
@@ -540,6 +550,19 @@ def test_milnor_numbers():
     assert check_isolated(P("x^2 + y^3")).milnor == 2
     # f = x*y : milnor number 1
     assert check_isolated(P("x*y")).milnor == 1
+
+
+def test_isolated_exponents_are_least():
+    # x_i^N_i lies in the Jacobian ideal and x_i^(N_i - 1) does not, by
+    # normal forms against a basis built directly
+    for f in _potentials():
+        n = len(f.vars)
+        gb = buchberger([f.partial(i) for i in range(n)])
+        for i, e in enumerate(check_isolated(f).exponents):
+            def power(k):
+                return Poly.monomial(f.vars, tuple(k if j == i else 0 for j in range(n)))
+            assert normal_form(power(e), gb).is_zero()
+            assert not normal_form(power(e - 1), gb).is_zero()
 
 
 def test_isolated_rejects_nonisolated():
@@ -570,7 +593,7 @@ def test_spair_budget(monkeypatch):
     # the graph-basis path (syzygies, cofactors, subquotients) obeys the cap too
     monkeypatch.setenv("MFHRR_MAX_SPAIRS", "0")
     with pytest.raises(GroebnerLimitError):
-        syzygies([P("x^2"), P("x*y + y^2")])
+        GraphBasis([P("x^2"), P("x*y + y^2")]).syzygies()
 
 
 def test_spair_budget_env(monkeypatch):
