@@ -309,6 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 def dispatch(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    previous = os.environ.get(ENV_MAX_SPAIRS)
     if args.max_spairs is not None:
         os.environ[ENV_MAX_SPAIRS] = str(args.max_spairs)
     try:
@@ -316,6 +317,12 @@ def dispatch(argv=None) -> int:
     except (ValueError, RuntimeError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    finally:
+        # the cap holds for this command only, not for later calls in-process
+        if previous is None:
+            os.environ.pop(ENV_MAX_SPAIRS, None)
+        else:
+            os.environ[ENV_MAX_SPAIRS] = previous
     sys.stdout.write(payload.decode())
     return code
 

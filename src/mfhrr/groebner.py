@@ -18,13 +18,17 @@ block.  Basis elements with zero main part carry syzygies in their tags;
 normal forms of (p, 0) carry membership certificates, for as many targets
 as the caller has.  Modulo an ideal (a) the a_k e_i join the graph module
 untagged, so the same tags carry the relations modulo (a)·F_r.  Each
-syzygy and certificate is verified once, exactly, against the caller's
-generators, modulo (a) by cofactors on a; a failed check raises
+syzygy and certificate is verified once, exactly, on vectors, against the
+caller's generators: the residual sum c_k g_k - target must be zero, or,
+modulo (a), each of its components must lift onto a through a's own graph
+basis, a lift checked exactly in turn; a failed check raises
 VerificationError.  The tag block of such a basis is itself a Groebner
 basis of the kernel, and the main parts of the other elements are one of
 the image plus (a)·F, so one graph basis of a differential serves both
 homology halves it enters, and a subquotient only counts the lead terms
-between a kernel and an image.
+between a kernel and an image, both given as vectors.  Poly enters at
+GraphBasis and leaves at its syzygies and cofactors; the Ext path in
+between stays on vectors.
 
 An ideal supported at the origin (a Jacobian ideal in check_isolated, a
 residue's denominators) is read off one graph basis of its generators too:
@@ -45,6 +49,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, le, sub
 
 from .polyring import LaurentError, Poly, _exact, degrevlex_key
 
@@ -97,19 +102,19 @@ def _heap_key(term):
 
 
 def _mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _mono_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _mono_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 # -- sparse vectors ----------------------------------------------------------
@@ -137,7 +142,7 @@ class _Basis:
         self.leads: list[tuple] = []
 
     def add(self, v):
-        lead = max(v, key=_term_key)
+        lead = min(v, key=_heap_key)
         lc = v[lead]
         if lc != 1:
             v = {t: _exact(Fraction(a, lc)) for t, a in v.items()}
@@ -327,6 +332,13 @@ def _to_vec(g, ncomp) -> dict:
     return vec
 
 
+def _ideal_vectors(ideal, ncomp) -> list:
+    """Every a e_i, a in the ideal and e_i a basis vector of F_ncomp, as a
+    vector, in the order a_1 e_1, ..., a_1 e_ncomp, a_2 e_1, ..."""
+    return [{(i, m): c for (_, m), c in _to_vec(a, 1).items()}
+            for a in ideal for i in range(ncomp)]
+
+
 def _from_vec(vec, variables, ncomp):
     comps = [dict() for _ in range(ncomp)]
     for (comp, mono), c in vec.items():
@@ -417,10 +429,14 @@ class GraphBasis:
     part leaves minus a cofactor vector of p there.  Each a·e_i of the ideal
     enters untagged, as (a e_i, 0), so the tags carry relations and
     cofactors modulo (ideal)·F directly, with nothing to project away.
-    Each syzygy and each cofactor vector is checked against the generators
-    as it is handed out: sum c_k g_k minus the claimed target must vanish,
-    or, modulo an ideal, lift onto the ideal component by component through
-    the ideal's own graph basis.
+
+    The work stays on sparse vectors: gens live on F_r, and syzygy_vectors
+    and lift hand out tag vectors on F_s; only syzygies and cofactors turn
+    them into Poly.  Each tag vector is checked on vectors as it is handed
+    out: sum c_k g_k minus the claimed target must vanish exactly, or,
+    modulo an ideal, each of its components must lift onto the ideal
+    through the ideal's own graph basis, a lift that is itself checked
+    exactly against the ideal's generators.
     """
 
     def __init__(self, gens, ideal=()):
@@ -432,31 +448,31 @@ class GraphBasis:
         tag = (0,) * len(self.vars)
         graph = [{**g, (self.ncomp + k, tag): 1}
                  for k, g in enumerate(self.gens)]
-        for a in ideal:
-            terms = _to_vec(a, 1)
-            graph.extend({(i, m): c for (_, m), c in terms.items()}
-                         for i in range(self.ncomp))
+        graph += _ideal_vectors(ideal, self.ncomp)
         self.basis, self.stats = _buchberger_raw(graph, False)
+
+    def syzygy_vectors(self) -> list:
+        """The tag-block elements as checked vectors on F_s, component k
+        for g_k.  Position over term with the main block first is an
+        elimination order, so they are a reduced Groebner basis of the
+        module they span, in the engine's order on F_s (what subquotient_dim
+        takes for a kernel)."""
+        ncomp = self.ncomp
+        return [self._checked({(c - ncomp, m): a for (c, m), a in e.items()}, {})
+                for e, (comp, _) in zip(self.basis.elems, self.basis.leads)
+                if comp >= ncomp]
 
     def syzygies(self) -> list:
         """Tuples c of Poly with sum c_k g_k = 0 (in (ideal)·F, given an
-        ideal), generating all of them.
-
-        They are the tag-block elements.  Position over term with the main
-        block first is an elimination order, so they are a reduced Groebner
-        basis of the module they span, in the engine's order on F_s (what
-        subquotient_dim takes)."""
-        ncomp = self.ncomp
-        return [self._verified({(c - ncomp, m): a for (c, m), a in e.items()}, {})
-                for e, (comp, _) in zip(self.basis.elems, self.basis.leads)
-                if comp >= ncomp]
+        ideal), generating all of them: syzygy_vectors, in order."""
+        return [self._poly(v) for v in self.syzygy_vectors()]
 
     def image_leads(self) -> list:
         """Lead terms of span(gens) + (ideal)·F: the leads of the basis
         elements that lie in the main block.  The tag block is ordered below
         it, so the main parts of those elements are a reduced Groebner basis
         of that module in the engine's order (what subquotient_dim takes for
-        an image)."""
+        the image of the gens and the _ideal_vectors)."""
         ncomp = self.ncomp
         return [t for t in self.basis.leads if t[0] < ncomp]
 
@@ -472,19 +488,27 @@ class GraphBasis:
                 basis.leads.append(lead)
         return GroebnerBasis(self.vars, ncomp, basis, self.stats)
 
-    def cofactors(self, target) -> tuple:
-        """Tuple c of Poly with sum c_k g_k = target (modulo (ideal)·F, given
-        an ideal); NotInIdealError otherwise."""
+    def lift(self, vec) -> dict:
+        """Checked cofactor vector c on F_s with sum c_k g_k = vec, a vector
+        on F_r (modulo (ideal)·F, given an ideal); NotInIdealError otherwise."""
         ncomp = self.ncomp
-        vec = _to_vec(target, ncomp)
         rem = _reduce_full(vec, self.basis)
         if any(comp < ncomp for comp, _ in rem):
             raise NotInIdealError("polynomial is not in the span of the generators")
-        return self._verified({(c - ncomp, m): -a for (c, m), a in rem.items()}, vec)
+        return self._checked({(c - ncomp, m): -a for (c, m), a in rem.items()}, vec)
 
-    def _verified(self, tags, want) -> tuple:
-        """The tag vector as Poly cofactors, once sum c_k g_k - want is
-        proved to lie in (ideal)·F, which is zero with no ideal."""
+    def cofactors(self, target) -> tuple:
+        """Tuple c of Poly with sum c_k g_k = target (modulo (ideal)·F, given
+        an ideal): the lift of target; NotInIdealError otherwise."""
+        return self._poly(self.lift(_to_vec(target, self.ncomp)))
+
+    def _poly(self, tags) -> tuple:
+        return _from_vec(tags, self.vars, len(self.gens))
+
+    def _checked(self, tags, want) -> dict:
+        """The tag vector, once the residual sum c_k g_k - want is proved to
+        be zero, or, given an ideal, each of its components to lift onto
+        the ideal."""
         acc = {t: -c for t, c in want.items()}
         for (k, m), a in tags.items():
             for (comp, gm), b in self.gens[k].items():
@@ -494,19 +518,18 @@ class GraphBasis:
                     acc[t] = c
                 else:
                     del acc[t]
-        if acc:
-            if self.on_ideal is None:
+        if acc and self.on_ideal is None:
+            raise VerificationError(
+                "graph-module tag vector does not recombine the generators "
+                "to the claimed target")
+        for comp in {comp for comp, _ in acc}:
+            try:
+                self.on_ideal.lift({(0, m): a for (c, m), a in acc.items() if c == comp})
+            except NotInIdealError:
                 raise VerificationError(
                     "graph-module tag vector does not recombine the generators "
-                    "to the claimed target")
-            for p in _from_vec(acc, self.vars, self.ncomp):
-                try:
-                    self.on_ideal.cofactors(p)
-                except NotInIdealError:
-                    raise VerificationError(
-                        "graph-module tag vector does not recombine the generators "
-                        "to the claimed target modulo the ideal") from None
-        return _from_vec(tags, self.vars, len(self.gens))
+                    "to the claimed target modulo the ideal") from None
+        return tags
 
 
 @lru_cache(maxsize=None)
@@ -536,44 +559,35 @@ def matrix_graph(matrix, ideal=()) -> GraphBasis:
     return GraphBasis(cols, ideal=ideal)
 
 
-def subquotient_dim(ker_gens, im_gens, im_leads) -> int:
-    """Rational dimension of (span ker_gens) / (span im_gens).
+def subquotient_dim(ker, im, im_leads) -> int:
+    """Rational dimension of (span ker) / (span im), for two lists of sparse
+    vectors on one free module, in the engine's Vec form.
 
-    Preconditions: ker_gens is a Groebner basis of its span in the engine's
+    Preconditions: ker is a Groebner basis of its span in the engine's
     order (degrevlex, position over term, lower component first), as
-    GraphBasis.syzygies returns it, and its elements need not be monic; im_leads
-    are the lead terms of a Groebner basis of span im_gens in that order,
-    as GraphBasis.image_leads gives them for a graph basis of the same
-    generators.  Each image generator is reduced to zero against ker_gens,
-    or NonContainmentError is raised; a zero remainder writes the generator
-    as a combination of ker_gens, so containment is proved whatever ker_gens
-    is.  No basis is built here: by Macaulay's basis theorem the dimension
-    is the number of lead terms of the kernel module that are not lead
-    terms of the image module.  InfiniteDimensionError is raised when that
-    number is infinite.
+    GraphBasis.syzygy_vectors returns it, and its elements need not be
+    monic; im_leads are the lead terms of a Groebner basis of span im in
+    that order, as GraphBasis.image_leads gives them for a graph basis of
+    the same generators (and of the same ideal, im then ending with its
+    _ideal_vectors).  Each image vector is reduced to zero against
+    ker, or NonContainmentError is raised; a zero remainder writes it as a
+    combination of ker, so containment is proved whatever ker is.  No basis
+    is built here: by Macaulay's basis theorem the dimension is the number
+    of lead terms of the kernel module that are not lead terms of the image
+    module.  InfiniteDimensionError is raised when that number is infinite.
     """
-    ker_gens = list(ker_gens)
-    im_gens = list(im_gens)
-    if not ker_gens:
-        for i, v in enumerate(im_gens):
-            polys = (v,) if isinstance(v, Poly) else v
-            if any(not p.is_zero() for p in polys):
-                raise NonContainmentError(f"generator {i} lies outside the zero module")
-        return 0
-    _, variables, ncomp = _gens_info(ker_gens)
-    ker = _Basis()
-    for g in ker_gens:
-        vec = _to_vec(g, ncomp)
-        if vec:
-            ker.add(vec)
-    for idx, g in enumerate(im_gens):
-        if _reduce_full(_to_vec(g, ncomp), ker):
+    basis = _Basis()
+    for v in ker:
+        if v:
+            basis.add(v)
+    for idx, v in enumerate(im):
+        if _reduce_full(v, basis):
             raise NonContainmentError(
                 f"generator {idx} of the submodule is not contained in the module")
-    return _lead_gap(ker.leads, im_leads, variables)
+    return _lead_gap(basis.leads, im_leads)
 
 
-def _lead_gap(big, small, variables) -> int:
+def _lead_gap(big, small) -> int:
     """#(LT(big) minus LT(small)) for the monomial modules generated by two
     lists of (component, monomial) leads, LT(small) inside LT(big).
 
@@ -583,18 +597,18 @@ def _lead_gap(big, small, variables) -> int:
     Otherwise the monomials are counted by walking up from each g until a
     lead of small divides.
     """
-    nvars = len(variables)
     walls: dict[int, list] = {}
     for comp, h in small:
         walls.setdefault(comp, []).append(h)
     seen = set()
     for comp, g in big:
         hs = walls.get(comp, [])
+        nvars = len(g)
         for i in range(nvars):
             if not any(all(h[k] <= g[k] for k in range(nvars) if k != i) for h in hs):
                 raise InfiniteDimensionError(
                     f"component {comp}: the kernel lead {g} times every power "
-                    f"of {variables[i]} lies outside the image")
+                    f"of the variable at index {i} lies outside the image")
         stack = [g]
         while stack:
             m = stack.pop()

@@ -3,10 +3,10 @@
 The shipping routes are exact.  Each differential d gets one graph basis
 of its columns, matrix_graph(d, a) (with a = () off the Koszul route),
 built once per (d, a): its tag block is a Groebner basis of ker d modulo
-(a)·F, its verified syzygies, and its other elements give
-the lead terms of im d + (a)·F.  Each homology dimension is a subquotient
-dimension over the polynomial ring, counted as the kernel's lead terms
-outside the image's, so a complex builds two Groebner bases in all.
+(a)·F, its verified syzygies, kept as sparse vectors, and its other
+elements give the lead terms of im d + (a)·F.  Each homology dimension is
+a subquotient dimension over the polynomial ring, counted as the kernel's
+lead terms outside the image's, so a complex builds two Groebner bases.
 Ext(P, Q) is the homology of hom_complex(P, Q), or, when P is a Koszul
 factorization K(a, b) with a regular, the homology of Q reduced mod (a),
 a complex rank(P) times smaller (see ext_dims).  Taking the subquotient
@@ -26,6 +26,8 @@ from functools import lru_cache
 from .groebner import (
     GraphBasis,
     NotInIdealError,
+    _ideal_vectors,
+    _to_vec,
     check_isolated,
     graph_basis,
     matrix_graph,
@@ -51,19 +53,6 @@ class ExtReport:
         }
 
 
-def _columns(matrix):
-    if not matrix or not matrix[0]:
-        return []
-    return [tuple(row[j] for row in matrix) for j in range(len(matrix[0]))]
-
-
-def _ideal_multiples(ideal, rank, variables):
-    """Every a_k e_j in a free module of the given rank."""
-    zero = Poly.zero(variables)
-    return [tuple(a if i == j else zero for i in range(rank))
-            for a in ideal for j in range(rank)]
-
-
 def homology_dims(C: Z2Complex, ideal=()):
     """(dim H0, dim H1, provenance record) of C tensored with R/(ideal).
 
@@ -84,8 +73,8 @@ def homology_dims(C: Z2Complex, ideal=()):
     not cached.
     """
     ideal = tuple(ideal)
-    h0, k0 = _homology_half(C.vars, C.d0, C.d1, ideal, C.rank0)
-    h1, k1 = _homology_half(C.vars, C.d1, C.d0, ideal, C.rank1)
+    h0, k0 = _homology_half(C.d0, C.d1, ideal)
+    h1, k1 = _homology_half(C.d1, C.d0, ideal)
     prov = {
         "complex_dims": [C.rank0, C.rank1],
         "kernel_generators": [k0, k1],
@@ -94,12 +83,14 @@ def homology_dims(C: Z2Complex, ideal=()):
 
 
 @lru_cache(maxsize=None)
-def _homology_half(variables, d_out, d_in, ideal, source_rank):
+def _homology_half(d_out, d_in, ideal):
     """(dim, kernel generator count) of {v : d_out v in (ideal)} modulo
-    im d_in + (ideal), on a source of the given rank."""
+    im d_in + (ideal).  The image generators, the columns of d_in and every
+    a_k e_j, are built here as vectors, once per half."""
     ker, _ = _differential_graph(d_out, ideal)
     _, im_leads = _differential_graph(d_in, ideal)
-    im = _columns(d_in) + _ideal_multiples(ideal, source_rank, variables)
+    rank = len(d_in)
+    im = [_to_vec(col, rank) for col in zip(*d_in)] + _ideal_vectors(ideal, rank)
     return subquotient_dim(ker, im, im_leads), len(ker)
 
 
@@ -108,12 +99,12 @@ def _differential_graph(d, ideal):
     """(kernel, image leads) of the matrix d modulo (ideal)·F, both read off
     matrix_graph(d, ideal), built once per (d, ideal) by content.
 
-    The kernel is the verified tag block, the graph's syzygies; the image
-    leads are those of the main-block elements, the lead terms of
-    im d + (ideal)·F (GraphBasis.image_leads).
+    The kernel is the verified tag block as vectors, the graph's
+    syzygy_vectors; the image leads are those of the main-block elements,
+    the lead terms of im d + (ideal)·F (GraphBasis.image_leads).
     """
     graph = matrix_graph(d, ideal)
-    return graph.syzygies(), graph.image_leads()
+    return graph.syzygy_vectors(), graph.image_leads()
 
 
 @lru_cache(maxsize=None)
@@ -126,7 +117,7 @@ def is_koszul_regular(a: tuple) -> bool:
     """
     if any(p.is_zero() for p in a):
         return False
-    syz = graph_basis(a).syzygies()
+    syz = graph_basis(a).syzygy_vectors()
     r = len(a)
     zero = Poly.zero(a[0].vars)
     relations = [tuple(a[j] if k == i else -a[i] if k == j else zero for k in range(r))
@@ -136,7 +127,7 @@ def is_koszul_regular(a: tuple) -> bool:
     graph = GraphBasis(relations)
     try:
         for s in syz:
-            graph.cofactors(s)
+            graph.lift(s)
     except NotInIdealError:
         return False
     return True

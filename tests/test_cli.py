@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,10 @@ import pytest
 
 from entry_point import ENTRY_POINT, SCRIPT, console_command
 from mfhrr.cli import emit_report, infer_vars, main
+from mfhrr.groebner import ENV_MAX_SPAIRS
+from mfhrr.homalg import ext_dims
+from mfhrr.mfcat import koszul_mf, mf_to_json
+from mfhrr.polyring import parse_poly
 
 
 def run_cli(capsys, *argv):
@@ -79,6 +84,25 @@ def test_residue_output_bytes_are_pinned(capsys):
     assert code == 0
     assert out == ('{"cover":{"cofactors":[["1/3*x","-1/6*y"],["y","-3/2*x"]],'
                    '"det":"-1/2*x^2 + 1/6*y^2","exponents":[3,3]},"value":"1/6"}\n')
+
+
+@pytest.mark.parametrize("before", [None, "1000"])
+def test_max_spairs_holds_for_one_command(capsys, monkeypatch, before):
+    # a capped command used to leave its cap in os.environ for every later
+    # call in the same process
+    if before is None:
+        monkeypatch.delenv(ENV_MAX_SPAIRS, raising=False)
+    else:
+        monkeypatch.setenv(ENV_MAX_SPAIRS, before)
+    argv = ("residue", "--f", "x^3 + x*y^3", "--numerator", "x*y")
+    code, out, err = run_cli(capsys, *argv, "--max-spairs", "1")
+    assert (code, out) == (1, "")
+    assert "S-pair budget exhausted (1)" in err
+    assert os.environ.get(ENV_MAX_SPAIRS) == before
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["cover"]["exponents"] == [3, 5]
+    assert os.environ.get(ENV_MAX_SPAIRS) == before
 
 
 def test_residue_rejects_non_isolated(capsys):
@@ -266,6 +290,53 @@ def test_usage_errors_exit_two(capsys):
         main(["chern", "--mf", "F", "--utrunc", "3"])  # chern has no u-order
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def _ext_pair(which):
+    """Two Koszul factorizations of one potential: rank-2|2 splits of
+    x^3 + y^4, or rank-1|1 branch splits of D4, y(x - y)(x + y)."""
+    XY = ("x", "y")
+
+    def K(a, b):
+        return koszul_mf(XY, [parse_poly(s, XY) for s in a],
+                         [parse_poly(s, XY) for s in b])
+
+    if which == "quartic":
+        return K(["x^2", "y"], ["x", "y^3"]), K(["x", "y^2"], ["x^2", "y^2"])
+    return K(["y"], ["x^2 - y^2"]), K(["x - y"], ["x*y + y^2"])
+
+
+# recorded with Poly kernels; a change of the engine's representation must
+# leave them as they are, kernel_generators (the verified kernel basis) too
+EXT_BYTES = {
+    ("quartic", "koszul"):
+        '{"chi":0,"dim_ext0":2,"dim_ext1":2,"provenance":{"complex_dims":[2,2],'
+        '"kernel_generators":[3,3],"route":"koszul"}}\n',
+    ("quartic", "hom_complex"):
+        '{"chi":0,"dim_ext0":2,"dim_ext1":2,"provenance":{"complex_dims":[8,8],'
+        '"kernel_generators":[6,7],"route":"hom_complex"}}\n',
+    ("d4", "koszul"):
+        '{"chi":-1,"dim_ext0":0,"dim_ext1":1,"provenance":{"complex_dims":[1,1],'
+        '"kernel_generators":[1,1],"route":"koszul"}}\n',
+    ("d4", "hom_complex"):
+        '{"chi":-1,"dim_ext0":0,"dim_ext1":1,"provenance":{"complex_dims":[2,2],'
+        '"kernel_generators":[1,1],"route":"hom_complex"}}\n',
+}
+
+
+@pytest.mark.parametrize("which", ["quartic", "d4"])
+def test_ext_output_bytes_are_pinned(tmp_path, capsys, which):
+    P, Q = _ext_pair(which)
+    # a file carries no Koszul sequence, so mfhrr ext takes the Hom complex;
+    # the Koszul route is the same report for the factorizations as built
+    assert emit_report(ext_dims(P, Q).as_dict()).decode() == EXT_BYTES[which, "koszul"]
+    paths = []
+    for name, M in (("p", P), ("q", Q)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(mf_to_json(M)))
+    code, out, _ = run_cli(capsys, "ext", "--p", str(paths[0]), "--q", str(paths[1]))
+    assert code == 0
+    assert out == EXT_BYTES[which, "hom_complex"]
 
 
 def test_corpus_seed_11_stdout_is_pinned(capsys):

@@ -23,7 +23,7 @@ from mfhrr.groebner import (
     quotient_basis,
     subquotient_dim,
 )
-from mfhrr.homalg import _columns, _ideal_multiples, homology_dims
+from mfhrr.homalg import _differential_graph, homology_dims
 from mfhrr.mfcat import Z2Complex, hom_complex, koszul_mf
 from mfhrr.pairing import default_corpus
 from mfhrr.polyring import Poly, parse_poly
@@ -140,9 +140,16 @@ def test_module_kernel_two_rows():
 
 # -- subquotients ---------------------------------------------------------------
 
+def _vecs(gens):
+    """Poly or Poly-tuple generators as the engine's sparse vectors."""
+    rank = 1 if isinstance(gens[0], Poly) else len(gens[0])
+    return [groebner._to_vec(g, rank) for g in gens]
+
+
 def _subquotient(ker_gens, im_gens):
     """subquotient_dim with the image leads of a basis built directly."""
-    return subquotient_dim(ker_gens, im_gens, buchberger(im_gens).lead_terms())
+    return subquotient_dim(_vecs(ker_gens), _vecs(im_gens),
+                           buchberger(im_gens).lead_terms())
 
 
 def test_subquotient_free_at_origin():
@@ -174,8 +181,19 @@ def test_subquotient_zero_quotient():
 
 def test_subquotient_infinite_along_one_variable():
     # F_1 / (x) = Q[y]: the lead 1 times every power of y stays outside (x)
-    with pytest.raises(InfiniteDimensionError, match="power of y"):
+    with pytest.raises(InfiniteDimensionError, match="variable at index 1 "):
         _subquotient([P("1")], [P("x")])
+
+
+def _columns(matrix):
+    return [tuple(row[j] for row in matrix) for j in range(len(matrix[0]))]
+
+
+def _ideal_multiples(ideal, rank, variables):
+    """Every a_k e_j in a free module of the given rank."""
+    zero = Poly.zero(variables)
+    return [tuple(a if i == j else zero for i in range(rank))
+            for a in ideal for j in range(rank)]
 
 
 def _graph_subquotient_dim(ker_gens, im_gens):
@@ -314,7 +332,7 @@ def test_subquotient_builds_no_basis(monkeypatch):
     calls = _count_raw_bases(monkeypatch)
     # the kernel generators are a Groebner basis already and the image
     # leads come from the caller
-    assert subquotient_dim([e1, e2], im, leads) == 2
+    assert subquotient_dim(_vecs([e1, e2]), _vecs(im), leads) == 2
     assert calls == []
 
 
@@ -362,22 +380,23 @@ def _in_span_mod(vectors, ideal, target):
     return True
 
 
+def _koszul_split(rng, variables, powers):
+    """A random Koszul split of sum x_i^p_i, in a random order."""
+    pairs = []
+    for v, p in zip(variables, powers):
+        i = rng.randint(1, p - 1)
+        pairs.append((P(f"{v}^{i}", variables), P(f"{v}^{p - i}", variables)))
+    rng.shuffle(pairs)
+    return koszul_mf(variables, [a for a, _ in pairs], [b for _, b in pairs])
+
+
 def test_kernel_mod_ideal_matches_projected_kernel_on_koszul_splits():
     rng = random.Random(1303)
-    xyz = ("x", "y", "z")
     for trial in range(6):
-        variables = xyz if trial % 3 == 2 else XY
+        variables = XYZ if trial % 3 == 2 else XY
         powers = [rng.choice((2, 3, 4)) for _ in variables]
-
-        def split():
-            pairs = []
-            for v, p in zip(variables, powers):
-                i = rng.randint(1, p - 1)
-                pairs.append((P(f"{v}^{i}", variables), P(f"{v}^{p - i}", variables)))
-            rng.shuffle(pairs)
-            return koszul_mf(variables, [a for a, _ in pairs], [b for _, b in pairs])
-
-        a, Q = split().koszul, split()
+        a = _koszul_split(rng, variables, powers).koszul
+        Q = _koszul_split(rng, variables, powers)
         for d in (Q.delta0, Q.delta1):
             new, old = matrix_graph(d, a).syzygies(), _projected_kernel(d, a)
             assert new and old
@@ -393,6 +412,55 @@ def test_module_kernel_without_ideal_is_the_plain_kernel():
         rows, cols = rng.randint(1, 2), rng.randint(1, 3)
         M = [[_random_poly(rng, XY) for _ in range(cols)] for _ in range(rows)]
         assert matrix_graph(M).syzygies() == matrix_graph(M, ()).syzygies()
+
+
+def _assert_cached_kernel(d, ideal):
+    """The kernel _differential_graph caches as vectors is the graph's
+    syzygies, converted, element for element and in order."""
+    cached = _differential_graph(d, ideal)[0]
+    poly = [groebner._from_vec(v, d[0][0].vars, len(d[0])) for v in cached]
+    assert poly == matrix_graph(d, ideal).syzygies()
+    return poly
+
+
+def test_cached_vector_kernels_are_the_graph_syzygies():
+    rng = random.Random(1801)
+    complexes = []
+    for trial in range(4):
+        # a rank-2|2 (or 4|4) Koszul split modulo another split's sequence
+        variables = XYZ if trial % 2 else XY
+        powers = [rng.choice((2, 3, 4)) for _ in variables]
+        a = _koszul_split(rng, variables, powers).koszul
+        Q = _koszul_split(rng, variables, powers)
+        complexes.append((Z2Complex(variables, Q.delta0, Q.delta1), a))
+        # the rank-2|2 Hom complex of two rank-1|1 splits of random branches
+        cs = rng.sample(range(-2, 3), rng.randint(2, 4))
+        branches = [P(f"x - ({c})*y^{rng.randint(1, 3)}") for c in cs]
+        splits = []
+        for mask in rng.sample(range(1, 2 ** len(cs) - 1), 2):
+            left = right = Poly.one(XY)
+            for i, br in enumerate(branches):
+                if mask >> i & 1:
+                    left = left * br
+                else:
+                    right = right * br
+            splits.append(koszul_mf(XY, [left], [right]))
+        complexes.append((hom_complex(*splits), ()))
+    for C, ideal in complexes:
+        dims, kernels = [], []
+        for d_out, d_in, rank in ((C.d0, C.d1, C.rank0), (C.d1, C.d0, C.rank1)):
+            ker = _assert_cached_kernel(d_out, ideal)
+            im = _columns(d_in) + _ideal_multiples(ideal, rank, C.vars)
+            dims.append(_graph_subquotient_dim(ker, im))
+            kernels.append(len(ker))
+        h0, h1, prov = homology_dims(C, ideal)
+        assert [h0, h1] == dims
+        assert prov["kernel_generators"] == kernels
+    # random 2 x 2 matrices, alone and modulo a random ideal
+    for trial in range(8):
+        M = tuple(tuple(_random_poly(rng, XY) for _ in range(2)) for _ in range(2))
+        ideal = tuple(_random_poly(rng, XY) for _ in range(trial % 3))
+        _assert_cached_kernel(M, ideal)
 
 
 # (x, y) -> x v1 + y v2 lands in (x^2) on (y, -x) and (x, 0); the second has
@@ -423,6 +491,28 @@ def test_corrupted_kernel_generator_is_caught(monkeypatch):
 
     monkeypatch.setattr(groebner, "_buchberger_raw", corrupted)
     with pytest.raises(VerificationError):
+        matrix_graph(M, ideal).syzygies()
+
+
+def test_corrupted_kernel_is_caught_in_a_later_component(monkeypatch):
+    # the kernel of [[x^2, y], [x, 0]] modulo (x^2) is spanned by (x, 0) and
+    # (0, x^2); adding e_1 to a kernel element moves its image by (x^2, x),
+    # inside (x^2) in the first component and outside it in the second, so
+    # each component of the residual must be lifted onto the ideal
+    M, ideal = [[P("x^2"), P("y")], [P("x"), P("0")]], (P("x^2"),)
+    groebner.graph_basis(ideal)  # built clean before the corruption
+    real = groebner._buchberger_raw
+
+    def corrupted(*args, **kwargs):
+        basis, stats = real(*args, **kwargs)
+        for e, (comp, _) in zip(basis.elems, basis.leads):
+            if comp >= 2:
+                e[(2, (0, 0))] = e.get((2, (0, 0)), 0) + 1
+        return basis, stats
+
+    assert len(matrix_graph(M, ideal).syzygies()) == 2
+    monkeypatch.setattr(groebner, "_buchberger_raw", corrupted)
+    with pytest.raises(VerificationError, match="modulo the ideal"):
         matrix_graph(M, ideal).syzygies()
 
 
