@@ -517,7 +517,7 @@ class GraphBasis:
                 if c:
                     acc[t] = c
                 else:
-                    del acc[t]
+                    acc.pop(t, None)
         if acc and self.on_ideal is None:
             raise VerificationError(
                 "graph-module tag vector does not recombine the generators "

@@ -31,7 +31,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from operator import add
+from operator import add, itemgetter
 
 from .mfcat import MatrixFactorization
 from .polyring import Poly, _exact
@@ -622,19 +622,32 @@ class Chain:
     def __add__(self, other):
         if other.pres is not self.pres:
             raise ChainError("chains over different presentations")
+        if not self.terms or not other.terms:
+            return self if not other.terms else other
         out = dict(self.terms)
         for key, coeff in other.terms.items():
             _put(out, key, coeff)
         return Chain.canonical(self.pres, out)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        if other.pres is not self.pres:
+            raise ChainError("chains over different presentations")
+        out = dict(self.terms)
+        for key, coeff in other.terms.items():
+            _put(out, key, -coeff)
+        return Chain.canonical(self.pres, out)
 
     def __neg__(self):
         return self.scale(-1)
 
     def scale(self, c):
+        """c times the chain: scale(1) is the chain itself (no operation
+        changes a chain in place), scale(-1) negates each coefficient."""
         c = _exact(c)
+        if c == 1:
+            return self
+        if c == -1:
+            return Chain.canonical(self.pres, {k: -v for k, v in self.terms.items()})
         if not c:
             return Chain.canonical(self.pres, {})
         return Chain.canonical(self.pres,
@@ -729,22 +742,15 @@ def random_chain(pres, rng, *, max_len=4, max_exp=2, nterms=3, alphas=False):
 
 # -- the Hochschild differential and the Connes operator -------------------------
 
-def _times(coeff, negc, c):
-    """coeff * c, given negc = -coeff; table constants are mostly +-1."""
-    if c == 1:
-        return coeff
-    if c == -1:
-        return negc
-    return coeff * c
-
-
 def b_op(chain: Chain) -> Chain:
     """b = b2 + b1 (+ b0 for declared curvature), with the standard signs.
 
     Every output word is written in canonical form as it is made: a new
     letter past the first slot is dropped when normalization kills it, and
     in module mode its monomial moves onto a0.  The other letters come from
-    the canonical input and stay as they are.
+    the canonical input and stay as they are.  A zero join or differential
+    is skipped before its word is sliced; each slot signs (p, q) = +-(coeff,
+    -coeff) once, so a table constant of 1 or -1 costs no multiplication.
     """
     alphabet = chain.pres.alphabet
     spar, dead, curvature = alphabet.spar, alphabet.dead, alphabet.curvature
@@ -754,63 +760,72 @@ def b_op(chain: Chain) -> Chain:
     for (alphas, word), coeff in chain.terms.items():
         n = len(word) - 1
         a0 = word[0]
-        negc = -coeff
+        same, flip = (coeff, -coeff), (-coeff, coeff)
         # shifted[j]: total shifted degree of the letters left of slot j
         shifted = [0] * (n + 2)
         for j, x in enumerate(word):
             shifted[j + 1] = shifted[j] ^ spar[x]
         # joins
         if n >= 1:
-            rest = word[2:]
-            neg = not spar[a0]
             terms = mul[a0].get(word[1])
             if terms is None:
                 terms = product(a0, word[1])
-            for x, c in terms:
-                _put(out, (alphas, (x,) + rest), _times(coeff, negc, -c if neg else c))
+            if terms:
+                p, q = same if spar[a0] else flip
+                rest = word[2:]
+                for x, c in terms:
+                    _put(out, (alphas, (x,) + rest),
+                         p if c == 1 else q if c == -1 else p * c)
             for j in range(1, n):
-                neg = not shifted[j + 1]
-                head, tail = word[:j], word[j + 2:]
                 terms = mul[word[j]].get(word[j + 1])
                 if terms is None:
                     terms = product(word[j], word[j + 1])
+                if not terms:
+                    continue
+                p, q = same if shifted[j + 1] else flip
+                head, tail = word[:j], word[j + 2:]
                 for x, c in terms:
                     if not dead[x]:
                         _put(out, (alphas, head + (x,) + tail),
-                             _times(coeff, negc, -c if neg else c))
-            middle = word[1:n]
-            neg = not (spar[word[n]] and not shifted[n])
+                             p if c == 1 else q if c == -1 else p * c)
             terms = mul[word[n]].get(a0)
             if terms is None:
                 terms = product(word[n], a0)
-            for x, c in terms:
-                _put(out, (alphas, (x,) + middle), _times(coeff, negc, -c if neg else c))
+            if terms:
+                p, q = same if spar[word[n]] and not shifted[n] else flip
+                middle = word[1:n]
+                for x, c in terms:
+                    _put(out, (alphas, (x,) + middle),
+                         p if c == 1 else q if c == -1 else p * c)
         # internal differential
-        rest = word[1:]
         rows = lead_diff[a0]
         if rows is None:
             rows = alphabet.lead_diff(a0)
+        p, q = same
+        rest = word[1:]
         for x, c in rows:
-            _put(out, (alphas, (x,) + rest), _times(coeff, negc, c))
+            _put(out, (alphas, (x,) + rest), p if c == 1 else q if c == -1 else p * c)
         for j in range(1, n + 1):
             rows = entry_diff[word[j]]
             if rows is None:
                 rows = alphabet.entry_diff(word[j])
-            neg = shifted[j]
+            if not rows:
+                continue
+            p, q = flip if shifted[j] else same
             head, tail = word[1:j], word[j + 1:]
             for x, moved, c in rows:
                 lead = a0 if moved is None else onto(a0, moved)
                 _put(out, (alphas, (lead,) + head + (x,) + tail),
-                     _times(coeff, negc, -c if neg else c))
+                     p if c == 1 else q if c == -1 else p * c)
         # curvature insertions
         if curvature:
             for j in range(n + 1):
-                neg = not shifted[j + 1]
+                p, q = same if shifted[j + 1] else flip
                 head, tail = word[1:j + 1], word[j + 1:]
                 for x, moved, c in curvature:
                     lead = a0 if moved is None else onto(a0, moved)
                     _put(out, (alphas, (lead,) + head + (x,) + tail),
-                         _times(coeff, negc, -c if neg else c))
+                         p if c == 1 else q if c == -1 else p * c)
     return Chain.canonical(chain.pres, out)
 
 
@@ -872,8 +887,10 @@ def _interleavings(sparA, sparB):
 
 @lru_cache(maxsize=None)
 def _shuffles(sparA, sparB):
-    """_interleavings(sparA, sparB), built once per pair."""
-    return tuple(_interleavings(sparA, sparB))
+    """_interleavings(sparA, sparB), built once per pair, with each order as
+    an itemgetter (tuple for an order of at most one letter, the identity)."""
+    return tuple((itemgetter(*order) if len(order) > 1 else tuple, negate)
+                 for order, negate in _interleavings(sparA, sparB))
 
 
 @lru_cache(maxsize=None)
@@ -927,18 +944,18 @@ def sh_op(x: Chain, y: Chain) -> Chain:
                 raise ChainError("shuffle of Cech-augmented words")
             sparB = tuple(map(spar_y.__getitem__, ay[1:]))
             base = cx * cy
-            if odd_a and not spar_y[ay[0]]:
-                base = -base
-            negbase = -base
+            same = (-base, base) if odd_a and not spar_y[ay[0]] else (base, -base)
+            flip = same[::-1]
             if not internal:
                 ay = alphabet.embed(1, ay)
             a0_terms = alphabet.product(ax[0], ay[0])
             letters = ax[1:] + ay[1:]
-            for order, negate in _shuffles(sparA, sparB):
-                seq = tuple(map(letters.__getitem__, order))
+            for pick, negate in _shuffles(sparA, sparB):
+                seq = pick(letters)
+                p, q = flip if negate else same
                 for a0, c0 in a0_terms:
                     _put(out, (_NO_ALPHAS, (a0,) + seq),
-                         _times(base, negbase, -c0 if negate else c0))
+                         p if c0 == 1 else q if c0 == -1 else p * c0)
     return Chain.canonical(pres_out, out)
 
 
@@ -1136,14 +1153,9 @@ def alpha_op(chain: Chain) -> Chain:
 
 
 def _alpha_signed(op, chain):
-    out = chain.pres.zero()
-    plus = {k: v for k, v in chain.terms.items() if len(k[0]) % 2 == 0}
-    minus = {k: v for k, v in chain.terms.items() if len(k[0]) % 2 == 1}
-    if plus:
-        out = out + op(Chain.canonical(chain.pres, plus))
-    if minus:
-        out = out - op(Chain.canonical(chain.pres, minus))
-    return out
+    """op(chain with its odd-symbol words negated): op keeps symbols."""
+    return op(Chain.canonical(chain.pres, {
+        k: -v if len(k[0]) & 1 else v for k, v in chain.terms.items()}))
 
 
 def cech_differential(x: UChain) -> UChain:

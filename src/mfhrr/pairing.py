@@ -334,8 +334,9 @@ def mixed_axioms_suite(*, count=200, seed=0) -> dict:
 
 
 def shuffle_suite(*, count=100, seed=0, utrunc=4) -> dict:
-    """Shuffle Leibniz, the Connes exchange law, and the full product
-    commutation on u-series, on seeded random word pairs."""
+    """The Connes exchange law and the full product commutation on u-series,
+    on seeded random word pairs; the shuffle Leibniz rule b sh = sh (b x 1 +
+    1 x b) is the full law's u^0 part, so it is checked there, once."""
     XY = ("x", "y")
     A = endomorphism_presentation(
         koszul_mf(XY, [parse_poly("x", XY)], [parse_poly("x", XY)]), label="left")
@@ -348,9 +349,6 @@ def shuffle_suite(*, count=100, seed=0, utrunc=4) -> dict:
         wy = _single_word(B, rng, max_len=2)
         sgn = (-1) ** chain_parity(wx)
         checked += 1
-        leibniz = (b_op(sh_op(wx, wy))
-                   - sh_op(b_op(wx), wy)
-                   - sh_op(wx, b_op(wy)).scale(sgn)).is_zero()
         Bwy = B_op(wy)
         exchange = (B_op(sh_op(wx, Bwy)) - sh_op(B_op(wx), Bwy)).is_zero()
         ux = UChain.from_chain(wx, utrunc)
@@ -358,7 +356,7 @@ def shuffle_suite(*, count=100, seed=0, utrunc=4) -> dict:
         full = (mixed_differential(kunneth_product(ux, uy))
                 - kunneth_product(mixed_differential(ux), uy)
                 - kunneth_product(ux, mixed_differential(uy)).scale(sgn)).is_zero()
-        if not (leibniz and exchange and full):
+        if not (exchange and full):
             failures += 1
     return {"pass": failures == 0, "pairs": checked, "failures": failures,
             "seed": seed, "utrunc": utrunc}

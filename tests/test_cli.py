@@ -356,6 +356,23 @@ def test_tower_stdout_is_pinned(capsys):
         "7a3062234fee51783157d4bc2855f83479895418a11e1d7d7932bcdb5db43b84")
 
 
+def test_small_tower_stdout_is_pinned(capsys):
+    # the suites and chain operators at a second order, seed and size
+    code, out, _ = run_cli(capsys, "hoch-verify", "--utrunc", "4", "--seed", "7",
+                           "--count", "20", "--jmax", "3")
+    assert code == 0
+    assert out == (
+        '{"suites":{"duality":{"chains":20,"failures":0,"pass":true,"seed":10},'
+        '"local_residue":{"order":3,"pass":true,"values":['
+        '{"j":0,"res":{"0":"-1"},"trace":"1"},{"j":1,"res":{},"trace":"0"},'
+        '{"j":2,"res":{},"trace":"0"},{"j":3,"res":{},"trace":"0"}]},'
+        '"mixed_axioms":{"chains":20,"failures":0,"pass":true,"seed":7},'
+        '"phi_eta":{"eta":true,"jmax":3,"order":4,"pass":true,"phi":true},'
+        '"shuffle":{"failures":0,"pairs":10,"pass":true,"seed":8,"utrunc":4},'
+        '"trace_chain_map":{"chains":20,"failures":0,"pass":true,"seed":9}},'
+        '"summary":{"pass":true,"seed":7}}\n')
+
+
 def test_console_entry_point_determinism():
     argv, env = console_command("corpus", "--seed", "9", "--count", "8",
                                 "--jmax", "1", "--utrunc", "3")

@@ -527,6 +527,18 @@ def test_corrupted_certificate_is_caught(monkeypatch):
         matrix_graph(M, ideal).syzygies()
 
 
+def test_stored_zero_tag_coefficient_gets_a_verdict():
+    # a tag vector that breaks the no-stored-zero invariant (only a corrupted
+    # basis makes one): its zero term adds nothing to the residual sum, so the
+    # check still ends in a certificate or a VerificationError, never KeyError
+    gb = GraphBasis([P("x"), P("y")])
+    syzygy = {(0, (0, 1)): 1, (1, (1, 0)): -1, (0, (5, 5)): 0}
+    assert gb._checked(syzygy, {}) is syzygy
+    del syzygy[1, (1, 0)]
+    with pytest.raises(VerificationError):
+        gb._checked(syzygy, {})
+
+
 # -- stored coefficients ------------------------------------------------------------
 
 def _assert_stored(vec):

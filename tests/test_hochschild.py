@@ -785,6 +785,21 @@ def test_b_and_B_match_the_atom_reference(kind, data):
         assert Chain(pres, _decoded(got)) == got
 
 
+def test_b_and_B_match_the_atom_reference_on_tower_words(model):
+    # the tower's words are long (nine letters here, thirteen for phi_4 at
+    # u^4), and many of their joins and every entry differential are zero;
+    # the drawn chains above stop at four letters
+    rng = random.Random(1511)
+    chains = [*phi_construct(2, 4).parts, *eta_construct(1, 4).parts]
+    chains += [random_chain(model, rng, max_len=8, nterms=4, alphas=True)
+               for _ in range(120)]
+    assert max(len(word) for c in chains for _, word in c.terms) == 9
+    for c in chains:
+        for got, want in ((b_op(c), _ref_b(c)), (B_op(c), _ref_B(c))):
+            assert _decoded(got) == want
+            assert Chain(model, _decoded(got)) == got
+
+
 def _shuffle_pairs():
     """(x presentation, y presentation) for the shuffles: internal, external
     scalar, external module and a presentation against itself."""

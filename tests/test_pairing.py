@@ -6,18 +6,19 @@ from pathlib import Path
 
 import pytest
 
-from mfhrr import groebner, pairing
+from mfhrr import groebner, hochschild, pairing
 from mfhrr.cli import main
 from mfhrr.groebner import (ENV_MAX_SPAIRS, IsolatedSingularityError, check_isolated,
                             graph_basis)
 from mfhrr.hkrtrace import chern_form
-from mfhrr.hochschild import ChainError
+from mfhrr.hochschild import Chain, ChainError
 from mfhrr.homalg import _differential_graph, _homology_half, euler_chi, is_koszul_regular
 from mfhrr.mfcat import (MFValidationError, direct_sum_mf, dual_mf, koszul_mf,
                          shift_mf, tensor_mf)
 from mfhrr.pairing import (EPSILON_TABLE, calibrate_sign, canonical_pairing_u0,
                            default_corpus, epsilon_formula, hrr_check,
-                           identity_suites, phi_eta_suite, run_corpus)
+                           identity_suites, phi_eta_suite, run_corpus,
+                           shuffle_suite)
 from mfhrr.polyring import LaurentError, Poly, parse_poly
 from mfhrr.residue import jacobian_cover, res_monomial, res_product
 
@@ -395,3 +396,28 @@ def test_phi_eta_suite_reports_constructor_failures(monkeypatch):
     assert rep["phi"] is True and rep["eta"] is False and rep["pass"] is False
     monkeypatch.undo()
     assert phi_eta_suite(jmax=1, order=3)["pass"] is True
+
+
+def test_shuffle_suite_catches_a_shuffle_that_drops_a_term(monkeypatch):
+    # the suite checks the shuffle Leibniz rule as the u^0 part of the full
+    # commutation law; at utrunc 1 the full law is that rule alone, so a
+    # broken shuffle inside the Kunneth product fails the suite even while
+    # the exchange law runs on the real one
+    real = hochschild.sh_op
+
+    def dropped(x, y):
+        out = real(x, y)
+        terms = dict(out.terms)
+        if terms:
+            del terms[next(iter(terms))]
+        return Chain.canonical(out.pres, terms)
+
+    for utrunc in (1, 4):
+        assert shuffle_suite(count=10, seed=8, utrunc=utrunc)["pass"] is True
+    monkeypatch.setattr(hochschild, "sh_op", dropped)
+    rep = shuffle_suite(count=10, seed=8, utrunc=1)
+    assert rep["pass"] is False and rep["failures"] > 0
+    monkeypatch.setattr(pairing, "sh_op", dropped)
+    for utrunc in (1, 4):
+        rep = shuffle_suite(count=10, seed=8, utrunc=utrunc)
+        assert rep["pass"] is False and rep["failures"] > 0
