@@ -1,6 +1,6 @@
 """Chain-level Hochschild machinery over finite-rank graded algebras.
 
-Chains are finite rational combinations of words a0[a1|...|an].  Each letter
+Chains are finite combinations over Q of words a0[a1|...|an].  Each letter
 is a monomial multiple of one element of a fixed constant-matrix basis for
 the algebra (index 0 is the identity), so every operator can be evaluated
 exactly from a multiplication table and a differential table.  Every stored
@@ -15,7 +15,7 @@ cohomology model.
 
 Normalization is a quotient and is applied eagerly: words holding an
 identity-multiple letter in a slot past the first are dropped.  In scalar
-mode only rational multiples of the identity are killed, in module mode any
+mode only multiples of the identity over Q are killed, in module mode any
 monomial multiple is.
 
 A chain stores each word as (alphas, (a0, ..., an)) with every letter an
@@ -641,7 +641,7 @@ class Chain:
         return self.scale(-1)
 
     def scale(self, c):
-        """c times the chain: scale(1) is the chain itself (no operation
+        """c times the chain: scale(1) is the chain itself (no chain op
         changes a chain in place), scale(-1) negates each coefficient."""
         c = _exact(c)
         if c == 1:
@@ -1052,7 +1052,7 @@ def psi_op(chain: Chain, target: AlgebraPresentation) -> Chain:
 class UChain:
     """Chain-valued polynomial in u, truncated at a fixed order.
 
-    parts is a tuple and every operation returns a new series, so a series
+    parts is a tuple and the arithmetic returns a new series, so a series
     can be shared (phi_construct hands out cached ones)."""
 
     __slots__ = ("pres", "parts")
@@ -1089,20 +1089,8 @@ class UChain:
     def scale(self, c):
         return UChain(self.pres, [p.scale(c) for p in self.parts])
 
-    def truncate(self, order):
-        zero = self.pres.zero()
-        parts = self.parts[:order]
-        parts += (zero,) * (order - len(parts))
-        return UChain(self.pres, parts)
-
     def is_zero(self):
         return all(p.is_zero() for p in self.parts)
-
-    def __eq__(self, other):
-        if not isinstance(other, UChain) or other.pres is not self.pres:
-            return NotImplemented
-        n = max(self.order, other.order)
-        return (self.truncate(n).parts == other.truncate(n).parts)
 
     def __repr__(self):
         bits = [f"u^{k}({p!r})" for k, p in enumerate(self.parts)
@@ -1177,74 +1165,52 @@ def y_power(j: int) -> Chain:
     return pres.chain("1", ["e*"] * j, coeff=math.factorial(j))
 
 
-def _proportionality(lhs: Chain, rhs: Chain):
-    """The scalar c with lhs = c . rhs, or None."""
-    if rhs.is_zero():
-        return 0 if lhs.is_zero() else None
-    if lhs.terms.keys() != rhs.terms.keys():
-        return None
-    # Fraction division: int / int would give a float
-    ratios = {Fraction(lhs.terms[k]) / rhs.terms[k] for k in rhs.terms}
-    return ratios.pop() if len(ratios) == 1 else None
-
-
+@lru_cache(maxsize=None)
 def phi_construct(j: int, order: int) -> UChain:
     """The u-series phi_j with (b + uB)(phi_j) = b(phi_j's u^0 part); a
     ChainError means the identity failed.
 
     Each (j, order) is built once per process and the same UChain is
     returned to every caller (eta_construct needs phi_0 ... phi_j for each
-    j).  Its parts are a tuple and no chain operation changes a chain in
+    j).  Its parts are a tuple and no chain op changes a chain in
     place, so callers share it safely; they must not assign to the terms of
     its chains.
 
-    The tower is built by shuffling e*[e|e] onto a B-exact seed.  Because
-    the endomorphism algebra is not commutative, the shuffle product stops
-    being a chain map at u^3 and the textbook recursion constant drifts by
-    an exact rational factor; b(omega_k) stays proportional to
-    B(omega_(k-1)), so level k is rescaled by that ratio.
+    omega_0 = e[e*|...|e*] (j entries) and omega_k = sh(e*[e|e], phi'_k),
+    where phi'_1 = -1[e*|...|e*] and phi'_k = B(sh(-1/(k+1) e*[e],
+    phi'_(k-1))) for k >= 2; at k = 2 that is the textbook -1/3.  The
+    constant is counted from multiplicities observed for j <= 4, k <= 6
+    (the shuffle product is not a chain map from u^3 on, so no general
+    argument gives them), not fitted: every part is one coefficient times
+    the sum of its words; sh(e*[e|e], -) meets each word of omega_k
+    C(k+1, 2) times and B(sh(e*[e], -)) each word of phi'_k (k-1)(k+j-1)
+    times; and b(omega_k) = B(omega_(k-1)) holds when omega_k's coefficient
+    is -(k+j-1) times omega_(k-1)'s.  So the constant is
+    -C(k, 2) / ((k-1) C(k+1, 2)) = -1/(k+1), and part k >= 1 has the
+    coefficient (k+j-1)!/j!.  The equality below checks this at every level.
 
     Each degree k >= 1 is proved once, where part k is made: b(omega_k) =
-    B(omega_(k-1)) holds term by term, or the two sides are proportional
-    term by term and omega_k is divided by the exact ratio; part k is
-    (-1)^k omega_k, so b(part_k) + B(part_(k-1)) = 0.  Over all k that is
-    the whole identity, so no closing pass replays it.
+    B(omega_(k-1)) holds term by term, or a ChainError names j and k; part
+    k is (-1)^k omega_k, so b(part_k) + B(part_(k-1)) = 0.  Over all k that
+    is the whole identity, so no closing pass replays it.
     """
-    return _phi_tower(j, order)[0]
-
-
-@lru_cache(maxsize=None)
-def _phi_tower(j, order):
-    """phi_construct's build: phi_j modulo u^order and the rescale ratios
-    it applied, as ((k, ratio), ...)."""
     pres = local_model_presentation()
     omega = pres.chain("e", ["e*"] * j)
     parts = [omega]
-    ratios = []
-    little_phi = None
+    little_phi = pres.chain("1", ["e*"] * j).scale(-1)
     for k in range(1, order):
-        if k == 1:
-            if j == 0:
-                little_phi = pres.chain("1").scale(-1)
-            else:
-                little_phi = pres.chain("1", ["e*"] * j).scale(-1)
-        else:
-            seed = pres.chain("e*", ["e"]).scale(Fraction(-1, 3))
+        if k > 1:
+            seed = pres.chain("e*", ["e"]).scale(Fraction(-1, k + 1))
             little_phi = B_op(sh_op(seed, little_phi))
         omega_k = sh_op(pres.chain("e*", ["e", "e"]), little_phi)
         lhs, rhs = b_op(omega_k), B_op(omega)
         if lhs != rhs:
-            ratio = _proportionality(lhs, rhs)
-            if not ratio:
-                raise ChainError(
-                    f"phi construction broke at j={j}, u^{k}: "
-                    f"b(omega_k) = {lhs!r} but B(omega_(k-1)) = {rhs!r}")
-            little_phi = little_phi.scale(1 / ratio)
-            omega_k = omega_k.scale(1 / ratio)
-            ratios.append((k, ratio))
+            raise ChainError(
+                f"phi construction broke at j={j}, u^{k}: "
+                f"b(omega_k) = {lhs!r} but B(omega_(k-1)) = {rhs!r}")
         omega = omega_k
         parts.append(omega_k.scale((-1) ** k))
-    return UChain(pres, parts), tuple(ratios)
+    return UChain(pres, parts)
 
 
 def eta_construct(j: int, order: int) -> UChain:

@@ -131,10 +131,13 @@ def test_validate_text_and_json(capsys, mf_file):
 
 def test_validate_rejects_broken_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    # delta^2 != f, a 0|1 block with no columns, and an empty 0|0 pair
-    for delta0, delta1 in (([["x"]], [["x^2"]]), ([[]], []), ([], [])):
-        bad.write_text(json.dumps({
-            "vars": ["x"], "f": "x^2", "delta0": delta0, "delta1": delta1}))
+    # delta^2 != f, a 0|1 block with no columns, an empty 0|0 pair, and a
+    # file that is not JSON
+    texts = [json.dumps({"vars": ["x"], "f": "x^2", "delta0": delta0,
+                         "delta1": delta1})
+             for delta0, delta1 in (([["x"]], [["x^2"]]), ([[]], []), ([], []))]
+    for text in texts + ["{not json"]:
+        bad.write_text(text)
         code, out, err = run_cli(capsys, "validate", "--mf", str(bad))
         assert (code, out) == (1, "")
         assert err.startswith("error:")
@@ -234,6 +237,16 @@ def test_hrr_failing_entry_exit_code(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "hrr", "--corpus", str(corpus))
     assert code == 1
     assert json.loads(out)["summary"]["pass"] is False
+
+
+def test_hrr_rejects_a_broken_corpus_file(tmp_path, capsys):
+    # a file that is not JSON, and JSON that is not an array of entries
+    corpus = tmp_path / "corpus.json"
+    for text in ("{not json", "{}"):
+        corpus.write_text(text)
+        code, out, err = run_cli(capsys, "hrr", "--corpus", str(corpus))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
 
 
 def test_malformed_corpus_entries_fail_alone(tmp_path, capsys):

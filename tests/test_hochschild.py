@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -6,6 +7,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from mfhrr import hochschild
 from mfhrr.hochschild import (
     AlgebraPresentation,
     B_op,
@@ -15,8 +17,6 @@ from mfhrr.hochschild import (
     _add_term,
     _cyclic_shuffles,
     _interleavings,
-    _phi_tower,
-    _proportionality,
     alpha_op,
     b_op,
     cech_differential,
@@ -404,19 +404,28 @@ def test_phi_defining_identity(model):
         assert (mixed_differential(phi) - target).is_zero()
 
 
-def test_phi_rescale_ratio_table():
-    # the recursion constant drifts from u^3 on; a changed ratio must show
-    # here instead of being absorbed by the rescale
-    want = ((3, Fraction(4, 3)), (4, Fraction(5, 3)), (5, Fraction(2)))
-    for j in range(5):
-        phi, ratios = _phi_tower(j, 6)
-        assert phi is phi_construct(j, 6)
-        assert ratios == want
+def test_phi_rejects_a_level_off_by_a_scalar(monkeypatch):
+    # a B that is off by a constant factor must fail the level it first
+    # reaches, not be divided out of the tower
+    orig = hochschild.B_op
+    monkeypatch.setattr(hochschild, "B_op", lambda c: orig(c).scale(2))
+    phi_construct.cache_clear()
+    try:
+        with pytest.raises(ChainError, match=r"j=1, u\^1\b"):
+            phi_construct(1, 4)
+    finally:
+        phi_construct.cache_clear()
 
 
 def test_phi_term_growth(model):
-    phi = phi_construct(1, 4)
-    assert [len(p.terms) for p in phi.parts] == [1, 3, 10, 35]
+    # part k >= 1 of phi_j is (k+j-1)!/j! times the sum of its
+    # C(2k+j, k+j-1) words
+    for j in range(5):
+        phi = phi_construct(j, 6)
+        for k in range(1, 6):
+            values = set(phi.parts[k].terms.values())
+            assert len(phi.parts[k].terms) == math.comb(2 * k + j, k + j - 1)
+            assert values == {math.factorial(k + j - 1) // math.factorial(j)}
 
 
 def test_phi_is_built_once_and_shared(model):
@@ -426,7 +435,7 @@ def test_phi_is_built_once_and_shared(model):
     with pytest.raises(TypeError):
         phi.parts[0] = model.zero()
     before = [dict(p.terms) for p in phi.parts]
-    (phi + phi).scale(3).truncate(2)
+    (phi + phi).scale(3)
     assert [p.terms for p in phi.parts] == before
 
 
@@ -498,13 +507,6 @@ def test_operator_coefficients_are_int_or_proper_fraction(model, end_x2):
     assert _exact_form(both) and type(dict(both.words())[(frozenset(), (((0,), 0),))]) is int
     assert type(list(half.scale(4).terms.values())[0]) is int
     assert type(list(model.chain("e", coeff=Fraction(6, 3)).terms.values())[0]) is int
-
-
-def test_proportionality_divides_as_fraction(model):
-    four, three = (model.chain("e", ["e*"], coeff=c) for c in (4, 3))
-    ratio = _proportionality(four, three)
-    assert type(ratio) is Fraction and ratio == Fraction(4, 3)
-    assert type(_proportionality(four.scale(2), four)) is Fraction
 
 
 def test_float_coefficient_is_rejected(model):
