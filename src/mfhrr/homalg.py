@@ -9,9 +9,13 @@ a subquotient dimension over the polynomial ring, counted as the kernel's
 lead terms outside the image's, so a complex builds two Groebner bases.
 Ext(P, Q) is the homology of hom_complex(P, Q), or, when P is a Koszul
 factorization K(a, b) with a regular, the homology of Q reduced mod (a),
-a complex rank(P) times smaller (see ext_dims).  Taking the subquotient
-reduces every image generator to zero modulo the kernel's basis, so it
-also proves d^2 = 0 exactly (modulo the ideal, on the Koszul route); this is
+a complex rank(P) times smaller (see ext_dims).  On that route each member
+a_i = c x_k + h that solves for a variable (c a nonzero constant, x_k not
+in h) is first substituted away: x_k -> -h/c maps R onto R' = Q[x minus
+x_k] with kernel (a_i), so R/(a) = R'/(a') and Q (x) R/(a) = Q' (x) R'/(a'),
+and no Groebner basis carries x_k.  Taking the subquotient reduces every
+image generator to zero modulo the kernel's basis, so it also proves
+d^2 = 0 exactly (modulo the ideal a' over R', on the Koszul route); this is
 the one place where a complex is checked to be one.  A degree-truncated
 dense linear algebra routine over the Hom complex is kept alongside as an
 independent cross-check; the two must agree whenever the answer is
@@ -22,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from .groebner import (
     GraphBasis,
@@ -34,7 +39,7 @@ from .groebner import (
     subquotient_dim,
 )
 from .mfcat import MatrixFactorization, MFValidationError, Z2Complex, hom_complex
-from .polyring import Poly, _exact
+from .polyring import LaurentError, Poly, _exact
 
 
 @dataclass
@@ -133,6 +138,61 @@ def is_koszul_regular(a: tuple) -> bool:
     return True
 
 
+def _solved_variable(p: Poly):
+    """(k, c) for the lowest k with p = c x_k + h, c a nonzero constant and
+    x_k absent from h; None when p solves for no variable."""
+    n = len(p.vars)
+    for k in range(n):
+        c = p.terms.get((0,) * k + (1,) + (0,) * (n - k - 1))
+        if c and sum(1 for m in p.terms if m[k]) == 1:
+            return k, c
+    return None
+
+
+def _substitution(p: Poly, k: int, c):
+    """The ring map Q[x] -> Q[x minus x_k], x_k -> -h/c, for p = c x_k + h,
+    as a function on Poly that caches the powers of -h/c and its results."""
+    keep = p.vars[:k] + p.vars[k + 1:]
+    value = Poly(keep, {m[:k] + m[k + 1:]: Fraction(-b) / c
+                        for m, b in p.terms.items() if not m[k]})
+    powers, memo = [Poly.one(keep)], {}
+
+    def sub(q: Poly) -> Poly:
+        if q not in memo:
+            terms = {}
+            for m, b in q.terms.items():
+                if min(m) < 0:
+                    raise LaurentError(f"negative exponent in {q}: the Koszul "
+                                       "route takes ordinary polynomials")
+                while len(powers) <= m[k]:
+                    powers.append(powers[-1] * value)
+                rest = m[:k] + m[k + 1:]
+                for pm, pc in powers[m[k]].terms.items():
+                    t = tuple(map(add, rest, pm))
+                    terms[t] = terms.get(t, 0) + b * pc
+            memo[q] = Poly(keep, terms)
+        return memo[q]
+    return keep, sub
+
+
+def _solve_out(C: Z2Complex, a: tuple):
+    """(C', a') with C (x) R/(a) = C' (x) R'/(a'): while some member of a
+    solves for a variable (_solved_variable; members in sequence order, the
+    lowest variable first), substitute it away from C and the other members
+    and drop that member and variable."""
+    a, i = list(a), 0
+    while i < len(a):
+        found = _solved_variable(a[i])
+        if found is None:
+            i += 1
+            continue
+        keep, sub = _substitution(a.pop(i), *found)
+        C = Z2Complex(keep, [[sub(p) for p in row] for row in C.d0],
+                      [[sub(p) for p in row] for row in C.d1])
+        a, i = [sub(p) for p in a], 0
+    return C, tuple(a)
+
+
 def ext_dims(P: MatrixFactorization, Q: MatrixFactorization) -> ExtReport:
     """Dimensions of the even and odd cohomology of hom_complex(P, Q).
 
@@ -162,6 +222,17 @@ def ext_dims(P: MatrixFactorization, Q: MatrixFactorization) -> ExtReport:
     Z/2 degree by r.  is_koszul_regular makes the H_1 test with a graph
     basis; a sequence that fails it, and every P without a sequence, takes
     the "hom_complex" route: homology_dims(hom_complex(P, Q)).
+
+    Before any Groebner basis, the Koszul route substitutes away each
+    variable the sequence solves for (_solve_out).  If a_i = c x_k + h with
+    c a nonzero constant and x_k not in h, the map R -> R' = Q[x minus x_k],
+    x_k -> -h/c, is onto with kernel (a_i): it fixes R' inside R, and
+    x_k - (-h/c) = a_i / c.  So R/(a) = R'/(a') with a' the images of the
+    other members, and Q (x) R/(a) = Q' (x) R'/(a'), Q' the image of Q's
+    complex; the homology, chi and the parity shift (r counts the whole
+    sequence) are the same, and d^2 = 0 and every certificate are proved
+    on the smaller complex, modulo a' over R'.  Members are taken in
+    sequence order, the lowest variable first, until none qualifies.
     """
     check_isolated(P.f)
     if P.vars != Q.vars:
@@ -169,7 +240,8 @@ def ext_dims(P: MatrixFactorization, Q: MatrixFactorization) -> ExtReport:
     if P.f != Q.f:
         raise MFValidationError("factorizations of different potentials")
     if P.koszul is not None and is_koszul_regular(P.koszul):
-        h0, h1, prov = homology_dims(Z2Complex(Q.vars, Q.delta0, Q.delta1), P.koszul)
+        h0, h1, prov = homology_dims(
+            *_solve_out(Z2Complex(Q.vars, Q.delta0, Q.delta1), P.koszul))
         if len(P.koszul) % 2:
             h0, h1 = h1, h0
         route = "koszul"

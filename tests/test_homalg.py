@@ -20,6 +20,8 @@ from mfhrr.homalg import (
     _homology_half,
     _matrix_columns_truncated,
     _monomials_below,
+    _solve_out,
+    _solved_variable,
     euler_chi,
     ext_dims,
     ext_dims_truncated,
@@ -37,7 +39,7 @@ from mfhrr.mfcat import (
     tensor_mf,
 )
 from mfhrr.pairing import _load_entry_mf, default_corpus, hrr_check
-from mfhrr.polyring import Poly, parse_poly
+from mfhrr.polyring import LaurentError, Poly, parse_poly
 
 X = ("x",)
 XY = ("x", "y")
@@ -335,6 +337,60 @@ def test_four_variable_rung():
 def test_ext_rejects_mismatched_pair():
     with pytest.raises(MFValidationError):
         ext_dims(K_xy(), koszul_mf(XY, [pp("x")], [pp("y^2")]))
+
+
+# members that solve for a variable are substituted away before any Groebner
+# basis: (variables, P's a and b, Q's a and b, variables and sequence left
+# after substituting into Q's complex)
+
+XYZ = ("x", "y", "z")
+SOLVED = {
+    "every variable": (XYZ, ["x", "y", "z"], ["x", "y", "z"],
+                       ["y", "z", "x"], ["y", "z", "x"], (), []),
+    "every variable, contractible Q": (XYZ, ["x", "y", "z"], ["x", "y", "z"],
+                                       ["x", "y^2 + z^2"], ["x", "1"], (), []),
+    "not a bare variable": (XY, ["x - 2*y^3"], ["x + 2*y^3"],
+                            ["x + 2*y^3"], ["x - 2*y^3"], ("y",), []),
+    "non-unit coefficient": (XY, ["2*x", "y^2"], ["x", "y"],
+                             ["x", "y"], ["2*x", "y^2"], ("y",), ["y^2"]),
+    "non-unit coefficient with a tail": (XY, ["3*x - y^2"], ["3*x + y^2"],
+                                         ["3*x + y^2"], ["3*x - y^2"], ("y",), []),
+    "member left to Groebner": (XY, ["y^2", "x"], ["y", "x"],
+                                ["x", "y"], ["x", "y^2"], ("y",), ["y^2"]),
+}
+
+
+@pytest.mark.parametrize("case", list(SOLVED))
+def test_solved_variables_match_hom_complex(case):
+    variables, pa, pb, qa, qb, left, rest = SOLVED[case]
+
+    def K(a, b):
+        return koszul_mf(variables, [pp(s, variables) for s in a],
+                         [pp(s, variables) for s in b])
+
+    P, Q = K(pa, pb), K(qa, qb)
+    C, a = _solve_out(Z2Complex(Q.vars, Q.delta0, Q.delta1), P.koszul)
+    assert C.vars == left and a == tuple(pp(s, left) for s in rest)
+    for A, B in ((P, P), (P, Q), (Q, P), (Q, Q)):
+        r = ext_dims(A, B)
+        assert r.provenance["route"] == "koszul"
+        assert (r.dim_ext0, r.dim_ext1) == _syzygy_dims(A, B), (case, A is P, B is P)
+
+
+@pytest.mark.parametrize("a, b", [("x", "y"), ("y", "x")])
+def test_substitution_rejects_laurent_entries(a, b):
+    # substituting y := 0 would kill the x^-1*y entry before the Groebner
+    # engine could reject it, so the substitution rejects it itself
+    Q = MatrixFactorization(XY, pp("x*y"), [[pp("x^2")]], [[Poly(XY, {(-1, 1): 1})]])
+    with pytest.raises(LaurentError):
+        ext_dims(koszul_mf(XY, [pp(a)], [pp(b)]), Q)
+
+
+def test_solved_variable_is_the_lowest_with_a_constant_coefficient():
+    assert _solved_variable(pp("y + x")) == (0, 1)
+    assert _solved_variable(pp("x*y + 3*y")) is None
+    assert _solved_variable(pp("x + x^2 - 1/2*y")) == (1, Fraction(-1, 2))
+    assert _solved_variable(pp("x^2 + y^2")) is None
 
 
 # three routes to chi on random branch curves: the Koszul route, the

@@ -331,7 +331,8 @@ def test_spair_budget_fails_entries_not_the_run(monkeypatch):
     for cached in (check_isolated, graph_basis, is_koszul_regular, _homology_half,
                    _differential_graph, pairing._weighted_top):
         cached.cache_clear()
-    monkeypatch.setenv(ENV_MAX_SPAIRS, "20")
+    # the largest budget that still exhausts an entry (x^2 + y^2 + z^2's)
+    monkeypatch.setenv(ENV_MAX_SPAIRS, "3")
     rep = run_corpus(default_corpus(), suites=False)
     assert len(rep["entries"]) == len(default_corpus())
     failed = [e for e in rep["entries"] if "error" in e]
