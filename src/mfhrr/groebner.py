@@ -534,9 +534,9 @@ class GraphBasis:
 
 @lru_cache(maxsize=None)
 def graph_basis(gens: tuple) -> GraphBasis:
-    """GraphBasis(gens), built once per generator tuple and shared: a Koszul
-    sequence's basis lifts the certificates of every kernel taken modulo it
-    and gives is_koszul_regular its syzygies."""
+    """GraphBasis(gens), built once per tuple and shared: a nonempty reduced
+    Koszul sequence a' gets one, which lifts every kernel certificate mod
+    a' and, past one member, gives is_koszul_regular(a') its syzygies."""
     return GraphBasis(gens)
 
 

@@ -12,14 +12,14 @@ factorization K(a, b) with a regular, the homology of Q reduced mod (a),
 a complex rank(P) times smaller (see ext_dims).  On that route each member
 a_i = c x_k + h that solves for a variable (c a nonzero constant, x_k not
 in h) is first substituted away: x_k -> -h/c maps R onto R' = Q[x minus
-x_k] with kernel (a_i), so R/(a) = R'/(a') and Q (x) R/(a) = Q' (x) R'/(a'),
-and no Groebner basis carries x_k.  Taking the subquotient reduces every
-image generator to zero modulo the kernel's basis, so it also proves
-d^2 = 0 exactly (modulo the ideal a' over R', on the Koszul route); this is
-the one place where a complex is checked to be one.  A degree-truncated
-dense linear algebra routine over the Hom complex is kept alongside as an
-independent cross-check; the two must agree whenever the answer is
-finite.
+x_k] with kernel (a_i), and a_i is a nonzerodivisor, so R/(a) = R'/(a'),
+Q (x) R/(a) = Q' (x) R'/(a') and H_1(a; R) = H_1(a'; R'): the regularity
+test and every Groebner basis see only a' over R'.  The subquotient
+reduces every image generator to zero modulo the kernel's basis, so it
+also proves d^2 = 0 exactly (modulo a' over R' on the Koszul route), the
+one place where a complex is checked to be one.  A degree-truncated dense
+linear algebra routine over the Hom complex is an independent
+cross-check; the two must agree whenever the answer is finite.
 """
 from __future__ import annotations
 
@@ -118,20 +118,21 @@ def is_koszul_regular(a: tuple) -> bool:
 
     H_1(a) is the syzygy module of a modulo the Koszul relations
     a_j e_i - a_i e_j, so it vanishes exactly when every syzygy of a is a
-    combination of those relations.  A zero entry is rejected outright.
+    combination of those relations.  A zero entry is rejected outright;
+    then one member or none is regular (R is a domain) with no basis
+    built.  ext_dims asks this of a' over R': H_1(a; R) = H_1(a'; R').
     """
     if any(p.is_zero() for p in a):
         return False
-    syz = graph_basis(a).syzygy_vectors()
+    if len(a) < 2:
+        return True
     r = len(a)
     zero = Poly.zero(a[0].vars)
     relations = [tuple(a[j] if k == i else -a[i] if k == j else zero for k in range(r))
                  for i in range(r) for j in range(i + 1, r)]
-    if not relations:
-        return not syz
     graph = GraphBasis(relations)
     try:
-        for s in syz:
+        for s in graph_basis(a).syzygy_vectors():
             graph.lift(s)
     except NotInIdealError:
         return False
@@ -219,29 +220,28 @@ def ext_dims(P: MatrixFactorization, Q: MatrixFactorization) -> ExtReport:
     every correction term passes through the homotopy and so leaves
     degree r, and the transferred differential is delta_Q mod (a).
     Degree r of the exterior algebra has parity r, which shifts the
-    Z/2 degree by r.  is_koszul_regular makes the H_1 test with a graph
-    basis; a sequence that fails it, and every P without a sequence, takes
-    the "hom_complex" route: homology_dims(hom_complex(P, Q)).
-
-    Before any Groebner basis, the Koszul route substitutes away each
-    variable the sequence solves for (_solve_out).  If a_i = c x_k + h with
-    c a nonzero constant and x_k not in h, the map R -> R' = Q[x minus x_k],
-    x_k -> -h/c, is onto with kernel (a_i): it fixes R' inside R, and
-    x_k - (-h/c) = a_i / c.  So R/(a) = R'/(a') with a' the images of the
-    other members, and Q (x) R/(a) = Q' (x) R'/(a'), Q' the image of Q's
-    complex; the homology, chi and the parity shift (r counts the whole
-    sequence) are the same, and d^2 = 0 and every certificate are proved
-    on the smaller complex, modulo a' over R'.  Members are taken in
-    sequence order, the lowest variable first, until none qualifies.
+    Z/2 degree by r.  First each variable the sequence solves for is
+    substituted away (_solve_out): if a_i = c x_k + h with c a nonzero
+    constant and x_k not in h, R -> R' = Q[x minus x_k], x_k -> -h/c, is
+    onto with kernel (a_i) (it fixes R' inside R, and x_k + h/c = a_i / c).
+    So R/(a) = R'/(a') with a' the images of the other members,
+    Q (x) R/(a) = Q' (x) R'/(a') with Q' the image of Q's complex, and, as
+    a_i is a nonzerodivisor, K(a; R) ~ K(a'; R') and H_1(a; R) =
+    H_1(a'; R'): is_koszul_regular decides on a'.  A sequence that fails
+    it, and every P without a sequence, takes the "hom_complex" route,
+    homology_dims(hom_complex(P, Q)).  Homology, chi and the parity shift
+    (r counts the whole sequence) are unchanged, and d^2 = 0 and every
+    certificate are proved on the smaller complex, modulo a' over R'.
     """
     check_isolated(P.f)
     if P.vars != Q.vars:
         raise MFValidationError("factorizations over different variable lists")
     if P.f != Q.f:
         raise MFValidationError("factorizations of different potentials")
-    if P.koszul is not None and is_koszul_regular(P.koszul):
-        h0, h1, prov = homology_dims(
-            *_solve_out(Z2Complex(Q.vars, Q.delta0, Q.delta1), P.koszul))
+    reduced = P.koszul is not None and _solve_out(
+        Z2Complex(Q.vars, Q.delta0, Q.delta1), P.koszul)
+    if reduced and is_koszul_regular(reduced[1]):
+        h0, h1, prov = homology_dims(*reduced)
         if len(P.koszul) % 2:
             h0, h1 = h1, h0
         route = "koszul"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -8,11 +9,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from mfhrr import groebner
+from mfhrr import groebner, homalg
 from mfhrr.groebner import (
     InfiniteDimensionError,
     IsolatedSingularityError,
     NonContainmentError,
+    check_isolated,
 )
 from mfhrr.homalg import (
     _differential_graph,
@@ -303,6 +305,14 @@ def test_koszul_regularity():
     assert not is_koszul_regular(seq("x", "x"))
     assert not is_koszul_regular(seq("x*y", "x"))
     assert not is_koszul_regular(seq("x", "0"))
+    assert not is_koszul_regular(seq("0"))
+    # fewer than two nonzero members are regular with no Groebner basis
+    groebner.graph_basis.cache_clear()
+    is_koszul_regular.cache_clear()
+    assert is_koszul_regular(())
+    assert is_koszul_regular(seq("x^2 + y^3"))
+    info = groebner.graph_basis.cache_info()
+    assert info.hits + info.misses == 0
 
 
 def test_non_regular_sequence_takes_hom_complex():
@@ -375,6 +385,117 @@ def test_solved_variables_match_hom_complex(case):
         r = ext_dims(A, B)
         assert r.provenance["route"] == "koszul"
         assert (r.dim_ext0, r.dim_ext1) == _syzygy_dims(A, B), (case, A is P, B is P)
+
+
+def _clear_ext_caches():
+    for cached in (groebner.graph_basis, is_koszul_regular, _homology_half,
+                   _differential_graph):
+        cached.cache_clear()
+
+
+def test_fully_solved_sequence_builds_no_ideal_basis():
+    # K(x, y, z; x, y, z) of x^2 + y^2 + z^2 solves for every variable: the
+    # regularity test and the homology both see the empty sequence over Q
+    K = koszul_mf(XYZ, [pp(v, XYZ) for v in XYZ], [pp(v, XYZ) for v in XYZ])
+    _clear_ext_caches()
+    r = ext_dims(K, K)
+    assert r.provenance["route"] == "koszul"
+    assert (r.dim_ext0, r.dim_ext1) == (4, 4)
+    info = groebner.graph_basis.cache_info()
+    assert info.hits + info.misses == 0
+
+
+@pytest.mark.parametrize("variables, a, b, left, rest", [
+    (XY, ["2*x", "y^2"], ["x", "y"], ("y",), ["y^2"]),
+    (XYZ, ["y^2", "x", "z^2"], ["y", "x", "z"], ("y", "z"), ["y^2", "z^2"]),
+])
+def test_partly_solved_sequence_builds_only_the_reduced_basis(
+        monkeypatch, variables, a, b, left, rest):
+    # the regularity test runs on a' and shares graph_basis(a') with the
+    # kernel certificates; the full sequence gets no basis of its own
+    P = koszul_mf(variables, [pp(s, variables) for s in a],
+                  [pp(s, variables) for s in b])
+    reduced = tuple(pp(s, left) for s in rest)
+    _clear_ext_caches()
+    seen = []
+    real = groebner.graph_basis
+
+    def recorded(gens):
+        seen.append(gens)
+        return real(gens)
+
+    monkeypatch.setattr(groebner, "graph_basis", recorded)
+    monkeypatch.setattr(homalg, "graph_basis", recorded)
+    assert ext_dims(P, P).provenance["route"] == "koszul"
+    assert seen and set(seen) == {reduced}
+    assert real.cache_info().currsize == 1
+
+
+# the regularity test on _solve_out's a' against the test on the whole
+# sequence over the whole ring: (variables, a, b, verdict), each potential
+# isolated
+
+UNSOLVED = {
+    "x, x": (XY, ["x", "x"], ["x", "y^2"], False),
+    "x, 0": (XY, ["x", "0"], ["x + y^2", "y"], False),
+    "x*y, x": (XY, ["x*y", "x"], ["y", "x"], False),
+    "x, x + y^2": (XY, ["x", "x + y^2"], ["x", "y^2"], True),
+}
+
+
+@pytest.mark.parametrize("case", list(SOLVED) + list(UNSOLVED))
+def test_reduced_sequence_gives_the_whole_ring_verdict(case):
+    if case in SOLVED:
+        variables, pa, pb, qa, qb, _, _ = SOLVED[case]
+        sources, expected = [(pa, pb), (qa, qb)], True
+    else:
+        variables, a, b, expected = UNSOLVED[case]
+        sources = [(a, b)]
+    for a, b in sources:
+        P = koszul_mf(variables, [pp(s, variables) for s in a],
+                      [pp(s, variables) for s in b])
+        check_isolated(P.f)
+        _, reduced = _solve_out(Z2Complex(P.vars, P.delta0, P.delta1), P.koszul)
+        full = is_koszul_regular(P.koszul)
+        assert full == is_koszul_regular(reduced) == expected, (case, a)
+        route = ext_dims(P, P).provenance["route"]
+        assert route == ("koszul" if full else "hom_complex"), (case, a)
+
+
+# linear members, some with a quadratic tail, monomials and zero, and the
+# cofactors tried in turn to make the potential isolated
+MEMBERS = st.one_of(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2),
+              st.sampled_from(["", " + x^2", " + y^2", " - x*y"]))
+    .filter(lambda t: t[0] or t[1])
+    .map(lambda t: f"{t[0]}*x + {t[1]}*y{t[2]}"),
+    st.tuples(st.integers(0, 3), st.integers(0, 3))
+    .filter(lambda e: 0 < sum(e))
+    .map(lambda e: f"x^{e[0]}*y^{e[1]}"),
+    st.just("0"),
+)
+COFACTORS = ["x", "y", "x^2", "y^2", "x + y", "x - y", "y^3", "x^3"]
+
+
+@seed(2323)
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.lists(MEMBERS, min_size=1, max_size=3))
+def test_reduced_verdict_on_mixed_sequences(a):
+    seq = tuple(pp(s) for s in a)
+    _, reduced = _solve_out(Z2Complex(XY, [[pp("0")]], [[pp("0")]]), seq)
+    full = is_koszul_regular(seq)
+    assert is_koszul_regular(reduced) == full
+    if len(a) > 2:
+        return  # the Hom complex of a rank-4|4 source is slow to check
+    # the route of K(a, b) for the first cofactors b that make f isolated
+    for b in itertools.product(COFACTORS, repeat=len(a)):
+        P = koszul_mf(XY, seq, [pp(s) for s in b])
+        try:
+            check_isolated(P.f)
+        except (IsolatedSingularityError, InfiniteDimensionError):
+            continue
+        assert ext_dims(P, P).provenance["route"] == ("koszul" if full else "hom_complex")
+        return
 
 
 @pytest.mark.parametrize("a, b", [("x", "y"), ("y", "x")])
