@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 
 from .groebner import ENV_MAX_SPAIRS
@@ -28,7 +27,7 @@ from .pairing import (
     identity_suites,
     run_corpus,
 )
-from .polyring import parse_poly
+from .polyring import _name_end, parse_poly
 from .residue import ResidueProblem, groth_residue
 
 
@@ -86,16 +85,18 @@ def _corpus_table(report) -> list:
     return lines
 
 
-_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-
-
 def infer_vars(*strings) -> tuple:
-    """Variable list from first appearance order across the inputs."""
+    """Variable list from first appearance order across the inputs, each
+    name read by the parser's own rule (polyring._name_end)."""
     seen = []
     for s in strings:
-        for m in _NAME.finditer(s):
-            if m.group(0) not in seen:
-                seen.append(m.group(0))
+        pos = 0
+        while pos < len(s):
+            end = _name_end(s, pos)
+            name = s[pos:end]
+            if name and name not in seen:
+                seen.append(name)
+            pos = max(end, pos + 1)
     if not seen:
         raise ValueError("no variables found; pass --vars explicitly")
     return tuple(seen)
@@ -245,8 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("validate", _cmd_validate, "check a factorization file")
     p.add_argument("--mf", required=True, help="matrix factorization JSON file")
     p.set_defaults(format="text")
-    p.add_argument("--json", dest="format", action="store_const", const="json",
-                   help=argparse.SUPPRESS)
 
     p = add("koszul", _cmd_koszul, "build a Koszul factorization")
     p.add_argument("--a", required=True, help="comma-separated polynomials")

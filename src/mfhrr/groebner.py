@@ -38,8 +38,10 @@ of the pure-power cover x_i^N_i = sum_j c_ij g_j are reduced against the
 same graph.  buchberger builds a plain basis and is kept as the reference
 these are tested against.
 
-The engine takes ordinary polynomials only: a negative exponent raises
-LaurentError where a polynomial enters it.
+The engine takes ordinary polynomials only: every polynomial enters it
+through _to_vec, which passes it through polyring's one Laurent gate.  One
+walk counts standard monomials (_standard_monomials): quotient_basis starts
+it at each component's origin, subquotient_dim at the kernel's leads.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, le, sub
 
-from .polyring import LaurentError, Poly, _exact, degrevlex_key
+from .polyring import Poly, _exact, _require_ordinary, degrevlex_key
 
 DEFAULT_MAX_SPAIRS = 10**6
 ENV_MAX_SPAIRS = "MFHRR_MAX_SPAIRS"
@@ -324,10 +326,8 @@ def _to_vec(g, ncomp) -> dict:
         raise ValueError(f"vector of length {len(g)} in a rank-{ncomp} module")
     vec = {}
     for comp, p in enumerate(g):
+        _require_ordinary(p, "the Groebner engine")
         for mono, c in p.terms.items():
-            if any(e < 0 for e in mono):
-                raise LaurentError(f"negative exponent in {p}: the Groebner engine "
-                                   "takes ordinary polynomials")
             vec[(comp, mono)] = c
     return vec
 
@@ -380,38 +380,12 @@ def quotient_basis(gb: GroebnerBasis):
     Returns exponent tuples for ideals, (component, exponent) pairs for
     modules.  Raises NotZeroDimensionalError when infinite.
     """
-    nvars = len(gb.vars)
-    by_comp: dict[int, list] = {c: [] for c in range(gb.ncomp)}
-    for comp, mono in gb.lead_terms():
-        by_comp[comp].append(mono)
-    # Dickson criterion: finite iff every component sees a pure power of
-    # every variable among its leading monomials
-    for comp in range(gb.ncomp):
-        monos = by_comp[comp]
-        if any(all(e == 0 for e in m) for m in monos):
-            continue  # the whole component dies
-        for i in range(nvars):
-            if not any(m[i] > 0 and all(e == 0 for k, e in enumerate(m) if k != i)
-                       for m in monos):
-                raise NotZeroDimensionalError(
-                    f"component {comp} has no pure power of {gb.vars[i]} "
-                    "among the leading terms")
-    out = []
-    for comp in range(gb.ncomp):
-        monos = by_comp[comp]
-        seen = set()
-        stack = [(0,) * nvars]
-        while stack:
-            m = stack.pop()
-            if m in seen or any(_mono_divides(g, m) for g in monos):
-                continue
-            seen.add(m)
-            for i in range(nvars):
-                up = list(m)
-                up[i] += 1
-                stack.append(tuple(up))
-        out.extend((comp, m) for m in seen)
-    out.sort(key=lambda t: (t[0], degrevlex_key(t[1])))
+    out = sorted(_standard_monomials(
+        [(comp, (0,) * len(gb.vars)) for comp in range(gb.ncomp)], gb.lead_terms(),
+        lambda comp, g, i: NotZeroDimensionalError(
+            f"component {comp} has no pure power of {gb.vars[i]} "
+            "among the leading terms")),
+        key=lambda t: (t[0], degrevlex_key(t[1])))
     if gb.ncomp == 1:
         return [m for _, m in out]
     return out
@@ -584,31 +558,32 @@ def subquotient_dim(ker, im, im_leads) -> int:
         if _reduce_full(v, basis):
             raise NonContainmentError(
                 f"generator {idx} of the submodule is not contained in the module")
-    return _lead_gap(basis.leads, im_leads)
+    return len(_standard_monomials(
+        basis.leads, im_leads,
+        lambda comp, g, i: InfiniteDimensionError(
+            f"component {comp}: the kernel lead {g} times every power "
+            f"of the variable at index {i} lies outside the image")))
 
 
-def _lead_gap(big, small) -> int:
-    """#(LT(big) minus LT(small)) for the monomial modules generated by two
-    lists of (component, monomial) leads, LT(small) inside LT(big).
+def _standard_monomials(starts, leads, infinite) -> set:
+    """The (component, monomial) pairs at or above the starts that no lead
+    of the same component divides, found by walking up from each start.
 
-    Infinite exactly when some lead g of big and some variable x_i leave
-    g x_i^t outside LT(small) for every t, i.e. no lead h of small in g's
-    component has h_k <= g_k for every k != i; InfiniteDimensionError then.
-    Otherwise the monomials are counted by walking up from each g until a
-    lead of small divides.
+    Infinite exactly when some start g and variable x_i leave g x_i^t
+    undivided for every t: no lead h in g's component has h_k <= g_k for
+    every k != i (from the origin, Dickson's criterion).  The walk then
+    raises infinite(component, g, i) instead.
     """
     walls: dict[int, list] = {}
-    for comp, h in small:
+    for comp, h in leads:
         walls.setdefault(comp, []).append(h)
     seen = set()
-    for comp, g in big:
+    for comp, g in starts:
         hs = walls.get(comp, [])
         nvars = len(g)
         for i in range(nvars):
             if not any(all(h[k] <= g[k] for k in range(nvars) if k != i) for h in hs):
-                raise InfiniteDimensionError(
-                    f"component {comp}: the kernel lead {g} times every power "
-                    f"of the variable at index {i} lies outside the image")
+                raise infinite(comp, g, i)
         stack = [g]
         while stack:
             m = stack.pop()
@@ -617,7 +592,7 @@ def _lead_gap(big, small) -> int:
             seen.add((comp, m))
             for i in range(nvars):
                 stack.append(m[:i] + (m[i] + 1,) + m[i + 1:])
-    return len(seen)
+    return seen
 
 
 # -- isolated singularity validation ------------------------------------------

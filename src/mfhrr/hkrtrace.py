@@ -273,7 +273,7 @@ def tr_nabla_cech(chain, *, order) -> dict:
     return _trace_components(chain, order)
 
 
-def cech_residue(components, full=None) -> dict:
+def cech_residue(components) -> dict:
     """Residues by u-power of the fully-tagged top component.
 
     Takes the output of tr_nabla_cech; reads off the coefficient of the
@@ -285,9 +285,7 @@ def cech_residue(components, full=None) -> dict:
         return {}
     variables = next(iter(components.values())).vars
     nv = len(variables)
-    if full is None:
-        full = frozenset(range(nv))
-    series = components.get(frozenset(full))
+    series = components.get(frozenset(range(nv)))
     if series is None:
         return {}
     pole = (-1,) * nv

@@ -11,7 +11,8 @@ integral words, and the tables are built from int literals.  The same engine
 drives the plain polynomial algebra with declared curvature (the
 classical mixed complex) and endomorphism algebras of matrix factorizations,
 optionally with inverted variables and exterior Cech symbols for the local
-cohomology model.
+cohomology model, whose generators e and e* are mfcat's exterior-algebra
+operators, the ones koszul_mf builds its differential from.
 
 Normalization is a quotient and is applied eagerly: words holding an
 identity-multiple letter in a slot past the first are dropped.  In scalar
@@ -33,7 +34,7 @@ from functools import lru_cache
 from itertools import combinations
 from operator import add, itemgetter
 
-from .mfcat import MatrixFactorization
+from .mfcat import MatrixFactorization, _exterior
 from .polyring import Poly, _exact
 
 
@@ -439,31 +440,24 @@ def polynomial_presentation(variables, curvature=None, *, laurent=(), label=None
 
 def koszul_generator_matrices(variables):
     """Constant matrices of the wedge and contraction operators e_i, e_i*
-    on the exterior algebra, in the subset basis order used by koszul_mf."""
+    on the exterior algebra: mfcat._exterior's triples, the ones koszul_mf
+    builds its differential from, laid out with rows indexing targets and
+    columns sources in the basis order even + odd."""
     n = len(variables)
-    subsets = sorted((frozenset(c) for k in range(n + 1)
-                      for c in combinations(range(n), k)),
-                     key=lambda S: (len(S) % 2, len(S), tuple(sorted(S))))
-    pos = {S: i for i, S in enumerate(subsets)}
-    N = len(subsets)
+    even, odd, wedge, contract = _exterior(n)
+    pos = {s: k for k, s in enumerate(even + odd)}
 
-    def empty():
-        return [[0] * N for _ in range(N)]
+    def matrix(triples):
+        rows = [[0] * len(pos) for _ in pos]
+        for source, target, sign in triples:
+            rows[pos[target]][pos[source]] = sign
+        return tuple(map(tuple, rows))
 
     out = {}
     for i in range(n):
-        wedge, contract = empty(), empty()
-        for S in subsets:
-            if i not in S:
-                sgn = (-1) ** sum(1 for j in S if j < i)
-                wedge[pos[S | {i}]][pos[S]] = sgn
-            else:
-                rest = S - {i}
-                sgn = (-1) ** sorted(S).index(i)
-                contract[pos[rest]][pos[S]] = sgn
         suffix = str(i + 1) if n > 1 else ""
-        out[f"e{suffix}"] = tuple(tuple(row) for row in wedge)
-        out[f"e{suffix}*"] = tuple(tuple(row) for row in contract)
+        out[f"e{suffix}"] = matrix(wedge[i])
+        out[f"e{suffix}*"] = matrix(contract[i])
     return out
 
 

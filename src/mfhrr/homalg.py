@@ -39,7 +39,7 @@ from .groebner import (
     subquotient_dim,
 )
 from .mfcat import MatrixFactorization, MFValidationError, Z2Complex, hom_complex
-from .polyring import LaurentError, Poly, _exact
+from .polyring import Poly, _exact, _require_ordinary
 
 
 @dataclass
@@ -160,11 +160,9 @@ def _substitution(p: Poly, k: int, c):
 
     def sub(q: Poly) -> Poly:
         if q not in memo:
+            _require_ordinary(q, "the Koszul route")
             terms = {}
             for m, b in q.terms.items():
-                if min(m) < 0:
-                    raise LaurentError(f"negative exponent in {q}: the Koszul "
-                                       "route takes ordinary polynomials")
                 while len(powers) <= m[k]:
                     powers.append(powers[-1] * value)
                 rest = m[:k] + m[k + 1:]
@@ -176,22 +174,24 @@ def _substitution(p: Poly, k: int, c):
     return keep, sub
 
 
-def _solve_out(C: Z2Complex, a: tuple):
-    """(C', a') with C (x) R/(a) = C' (x) R'/(a'): while some member of a
-    solves for a variable (_solved_variable; members in sequence order, the
-    lowest variable first), substitute it away from C and the other members
-    and drop that member and variable."""
+def _solve_out(a: tuple):
+    """(R', a', subs) with R/(a) = R'/(a'): while some member of a solves
+    for a variable (_solved_variable; members in sequence order, the lowest
+    variable first), substitute it away from the other members and drop
+    that member and variable.  R' is the tuple of variables left, and subs
+    lists the substitutions in the order made, each a ring map on Poly
+    (_substitution); applied in turn they take R onto R'."""
     a, i = list(a), 0
+    keep, subs = a[0].vars, []
     while i < len(a):
         found = _solved_variable(a[i])
         if found is None:
             i += 1
             continue
         keep, sub = _substitution(a.pop(i), *found)
-        C = Z2Complex(keep, [[sub(p) for p in row] for row in C.d0],
-                      [[sub(p) for p in row] for row in C.d1])
+        subs.append(sub)
         a, i = [sub(p) for p in a], 0
-    return C, tuple(a)
+    return keep, tuple(a), subs
 
 
 def ext_dims(P: MatrixFactorization, Q: MatrixFactorization) -> ExtReport:
@@ -227,8 +227,9 @@ def ext_dims(P: MatrixFactorization, Q: MatrixFactorization) -> ExtReport:
     So R/(a) = R'/(a') with a' the images of the other members,
     Q (x) R/(a) = Q' (x) R'/(a') with Q' the image of Q's complex, and, as
     a_i is a nonzerodivisor, K(a; R) ~ K(a'; R') and H_1(a; R) =
-    H_1(a'; R'): is_koszul_regular decides on a'.  A sequence that fails
-    it, and every P without a sequence, takes the "hom_complex" route,
+    H_1(a'; R'): is_koszul_regular decides on a', and only then is Q's
+    complex mapped to R' by the substitutions.  A sequence that fails it,
+    and every P without a sequence, takes the "hom_complex" route,
     homology_dims(hom_complex(P, Q)).  Homology, chi and the parity shift
     (r counts the whole sequence) are unchanged, and d^2 = 0 and every
     certificate are proved on the smaller complex, modulo a' over R'.
@@ -238,10 +239,13 @@ def ext_dims(P: MatrixFactorization, Q: MatrixFactorization) -> ExtReport:
         raise MFValidationError("factorizations over different variable lists")
     if P.f != Q.f:
         raise MFValidationError("factorizations of different potentials")
-    reduced = P.koszul is not None and _solve_out(
-        Z2Complex(Q.vars, Q.delta0, Q.delta1), P.koszul)
+    reduced = P.koszul is not None and _solve_out(P.koszul)
     if reduced and is_koszul_regular(reduced[1]):
-        h0, h1, prov = homology_dims(*reduced)
+        keep, a, subs = reduced
+        d0, d1 = Q.delta0, Q.delta1
+        for sub in subs:
+            d0, d1 = ([[sub(p) for p in row] for row in d] for d in (d0, d1))
+        h0, h1, prov = homology_dims(Z2Complex(keep, d0, d1), a)
         if len(P.koszul) % 2:
             h0, h1 = h1, h0
         route = "koszul"

@@ -4,7 +4,9 @@ A matrix factorization of f consists of two free Z/2-graded summands and
 odd maps delta0: E0 -> E1, delta1: E1 -> E0 with both composites equal to
 f times the identity.  Matrices are tuples of tuples of Poly; delta0 has
 shape (rank1, rank0) and delta1 has shape (rank0, rank1), columns indexing
-the source basis.
+the source basis.  Koszul factorizations are built from one definition of
+the exterior algebra and its operators e_i, e_i* (_exterior), the one the
+Hochschild local model's e and e* are laid out from too.
 """
 
 from __future__ import annotations
@@ -169,21 +171,28 @@ def _odd_map(variables, even, odd, entries):
 
 # -- Koszul factorizations -----------------------------------------------------
 
-def _subset_order(n: int):
-    subsets = sorted(
-        (tuple(s) for k in range(n + 1) for s in itertools.combinations(range(1, n + 1), k)),
-        key=lambda s: (len(s), s))
+def _exterior(n: int):
+    """The exterior algebra on n generators: (even, odd, wedge, contract).
+
+    The basis is the subsets S of {1..n} as ascending tuples, even ones
+    first, each parity by (size, lexicographic).  wedge[i - 1] lists e_i as
+    (source, target, sign) triples, S -> S + {i} with sign (-1)^#{j in S :
+    j < i}; contract[i - 1] lists e_i*, its transpose, S -> S - {i} with
+    sign (-1)^(position of i in S).  koszul_mf and the local model's
+    operators (hochschild.koszul_generator_matrices) both read it.
+    """
+    subsets = [s for k in range(n + 1) for s in itertools.combinations(range(1, n + 1), k)]
+    wedge = [[(s, tuple(sorted(s + (i,))), (-1) ** sum(j < i for j in s))
+              for s in subsets if i not in s] for i in range(1, n + 1)]
+    contract = [[(t, s, sign) for s, t, sign in triples] for triples in wedge]
     even = [s for s in subsets if len(s) % 2 == 0]
-    odd = [s for s in subsets if len(s) % 2 == 1]
-    return even, odd
+    odd = [s for s in subsets if len(s) % 2]
+    return even, odd, wedge, contract
 
 
 def koszul_mf(variables, a: Sequence[Poly], b: Sequence[Poly]) -> MatrixFactorization:
-    """Koszul factorization of sum a_i b_i on the exterior algebra basis.
-
-    Basis elements are subsets of {1..n} sorted by (size, lexicographic);
-    contraction against a_i uses the sign (-1)^{position of i in S},
-    multiplication by b_i the sign (-1)^{#{j in S : j < i}}.
+    """Koszul factorization of sum a_i b_i: delta = sum b_i e_i + a_i e_i*
+    on the exterior algebra basis of _exterior(len(a)).
     """
     a = list(a)
     b = list(b)
@@ -195,22 +204,13 @@ def koszul_mf(variables, a: Sequence[Poly], b: Sequence[Poly]) -> MatrixFactoriz
     for p in (*a, *b):
         if p.vars != variables:
             raise MFValidationError("Koszul coefficient over wrong variable list")
-    n = len(a)
     f = Poly.zero(variables)
     for ai, bi in zip(a, b):
         f = f + ai * bi
-    even, odd = _subset_order(n)
-
-    def entries():
-        for s in even + odd:
-            for i in range(1, n + 1):
-                if i in s:
-                    yield s, tuple(x for x in s if x != i), a[i - 1] * ((-1) ** s.index(i))
-                else:
-                    below = sum(1 for x in s if x < i)
-                    yield s, tuple(sorted(s + (i,))), b[i - 1] * ((-1) ** below)
-
-    K = MatrixFactorization(variables, f, *_odd_map(variables, even, odd, entries()))
+    even, odd, wedge, contract = _exterior(len(a))
+    entries = ((s, t, c * sign) for triples, c in zip(wedge + contract, b + a)
+               for s, t, sign in triples)
+    K = MatrixFactorization(variables, f, *_odd_map(variables, even, odd, entries))
     K.koszul = tuple(a)
     return K
 

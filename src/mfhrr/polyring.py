@@ -4,8 +4,9 @@ Everything downstream works over the rationals.  Polynomials are sparse
 dicts mapping exponent tuples to nonzero rationals, each stored as _exact
 leaves it: an int when integral, else a Fraction.  Exponents may be any
 integers: the Cech local model inverts variables, and its traces carry
-negative exponents.  Nothing else produces them, and the Groebner and
-residue entry points reject them with LaurentError.
+negative exponents.  Nothing else produces them, and the Groebner engine,
+the residues and the Koszul route reject them through one gate,
+_require_ordinary, with LaurentError.
 """
 
 from __future__ import annotations
@@ -28,6 +29,13 @@ class PolyParseError(ValueError):
 
 class LaurentError(ValueError):
     """A negative exponent reached an entry point that takes ordinary polynomials."""
+
+
+def _require_ordinary(p: Poly, entry: str) -> None:
+    """The one Laurent gate: LaurentError when p has a negative exponent,
+    naming the entry point ``entry`` that takes ordinary polynomials only."""
+    if any(e < 0 for mono in p.terms for e in mono):
+        raise LaurentError(f"negative exponent in {p}: {entry} takes ordinary polynomials")
 
 
 Monomial = tuple[int, ...]
@@ -226,6 +234,17 @@ class Poly:
 # The optional leading minus is a strict superset of the bare grammar; it
 # lets canonical printed output ("-x^2 + y") round-trip.
 
+def _name_end(text: str, pos: int) -> int:
+    """End of the variable name that starts at text[pos], or pos when none
+    does.  The one name rule, for the parser and cli.infer_vars: a letter
+    or "_", then letters, digits and "_" (str.isalpha, str.isalnum)."""
+    if pos < len(text) and (text[pos].isalpha() or text[pos] == "_"):
+        pos += 1
+        while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
+            pos += 1
+    return pos
+
+
 class _Parser:
     def __init__(self, text: str, variables: Sequence[str]):
         self.text = text
@@ -321,14 +340,12 @@ class _Parser:
                 if den == 0:
                     self.error("zero denominator")
             return Poly.const(self.vars, Fraction(sign * num, den))
-        if ch.isalpha() or ch == "_":
-            start = self.pos
-            while self.peek().isalnum() or self.peek() == "_":
-                self.pos += 1
-            name = self.text[start:self.pos]
+        end = _name_end(self.text, self.pos)
+        if end > self.pos:
+            name = self.text[self.pos:end]
             if name not in self.index:
-                self.pos = start
                 self.error(f"unknown variable {name!r}")
+            self.pos = end
             exp = 1
             self.skip_ws()
             if self.peek() == "^":

@@ -25,13 +25,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .groebner import IsolatedSingularityError, _origin_support, check_isolated
-from .polyring import LaurentError, Poly, _exact
-
-
-def _check_ordinary(numerator: Poly) -> None:
-    if any(e < 0 for mono in numerator.terms for e in mono):
-        raise LaurentError(f"negative exponent in the numerator {numerator}: "
-                           "residues take ordinary polynomials")
+from .polyring import Poly, _exact, _require_ordinary
 
 
 def _residue_target(exponents, variables) -> tuple:
@@ -54,7 +48,7 @@ def res_monomial(numerator: Poly, exponents) -> int | Fraction:
     Fraction).  The numerator must be an ordinary polynomial (LaurentError
     otherwise).
     """
-    _check_ordinary(numerator)
+    _require_ordinary(numerator, "the residue")
     return numerator.coefficient(_residue_target(exponents, numerator.vars))
 
 
@@ -66,8 +60,8 @@ def res_product(left: Poly, right: Poly, exponents) -> int | Fraction:
     sparse dot product over left's terms.  Both factors must be ordinary
     polynomials (LaurentError otherwise) over the same variables.
     """
-    _check_ordinary(left)
-    _check_ordinary(right)
+    _require_ordinary(left, "the residue")
+    _require_ordinary(right, "the residue")
     if left.vars != right.vars:
         raise ValueError("residue factors over different variable lists")
     target = _residue_target(exponents, left.vars)
@@ -168,7 +162,7 @@ class ResidueProblem:
         variables = denominators[0].vars
         if numerator.vars != variables or any(g.vars != variables for g in denominators):
             raise ValueError("numerator and denominators over different variable lists")
-        _check_ordinary(numerator)
+        _require_ordinary(numerator, "the residue")
         if len(denominators) != len(variables):
             raise ValueError(
                 f"{len(denominators)} denominators over {len(variables)} variables")

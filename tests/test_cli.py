@@ -59,6 +59,14 @@ def test_infer_vars_first_appearance():
         infer_vars("1 + 2")
 
 
+@pytest.mark.parametrize("a,b,names", [("é", "é", ["é"]), ("xé", "x", ["xé", "x"])])
+def test_koszul_infers_names_by_the_parser_rule(capsys, a, b, names):
+    # the inferred names are the ones the parser reads, non-ASCII letters too
+    code, out, err = run_cli(capsys, "koszul", "--a", a, "--b", b)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["vars"] == names
+
+
 # -- commands ---------------------------------------------------------------------
 
 def test_residue_command(capsys):
@@ -124,7 +132,7 @@ def test_validate_text_and_json(capsys, mf_file):
     code, out, _ = run_cli(capsys, "validate", "--mf", mf_file)
     assert code == 0
     assert out.strip() == "delta^2 = f*id verified"
-    code, out, _ = run_cli(capsys, "validate", "--mf", mf_file, "--json")
+    code, out, _ = run_cli(capsys, "validate", "--mf", mf_file, "--format", "json")
     assert code == 0
     assert json.loads(out)["valid"] is True
 

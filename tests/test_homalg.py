@@ -379,8 +379,8 @@ def test_solved_variables_match_hom_complex(case):
                          [pp(s, variables) for s in b])
 
     P, Q = K(pa, pb), K(qa, qb)
-    C, a = _solve_out(Z2Complex(Q.vars, Q.delta0, Q.delta1), P.koszul)
-    assert C.vars == left and a == tuple(pp(s, left) for s in rest)
+    keep, a, _ = _solve_out(P.koszul)
+    assert keep == left and a == tuple(pp(s, left) for s in rest)
     for A, B in ((P, P), (P, Q), (Q, P), (Q, Q)):
         r = ext_dims(A, B)
         assert r.provenance["route"] == "koszul"
@@ -455,7 +455,7 @@ def test_reduced_sequence_gives_the_whole_ring_verdict(case):
         P = koszul_mf(variables, [pp(s, variables) for s in a],
                       [pp(s, variables) for s in b])
         check_isolated(P.f)
-        _, reduced = _solve_out(Z2Complex(P.vars, P.delta0, P.delta1), P.koszul)
+        _, reduced, _ = _solve_out(P.koszul)
         full = is_koszul_regular(P.koszul)
         assert full == is_koszul_regular(reduced) == expected, (case, a)
         route = ext_dims(P, P).provenance["route"]
@@ -482,7 +482,7 @@ COFACTORS = ["x", "y", "x^2", "y^2", "x + y", "x - y", "y^3", "x^3"]
 @given(st.lists(MEMBERS, min_size=1, max_size=3))
 def test_reduced_verdict_on_mixed_sequences(a):
     seq = tuple(pp(s) for s in a)
-    _, reduced = _solve_out(Z2Complex(XY, [[pp("0")]], [[pp("0")]]), seq)
+    _, reduced, _ = _solve_out(seq)
     full = is_koszul_regular(seq)
     assert is_koszul_regular(reduced) == full
     if len(a) > 2:
@@ -505,6 +505,15 @@ def test_substitution_rejects_laurent_entries(a, b):
     Q = MatrixFactorization(XY, pp("x*y"), [[pp("x^2")]], [[Poly(XY, {(-1, 1): 1})]])
     with pytest.raises(LaurentError):
         ext_dims(koszul_mf(XY, [pp(a)], [pp(b)]), Q)
+
+
+def test_substitution_waits_for_the_koszul_route():
+    # (x, x) reduces to (0), not regular, so the pair takes the Hom-complex
+    # route and Q reaches the Groebner engine's gate unsubstituted
+    P = koszul_mf(XY, [pp("x"), pp("x")], [pp("y"), pp("0")])
+    Q = MatrixFactorization(XY, pp("x*y"), [[pp("x^2")]], [[Poly(XY, {(-1, 1): 1})]])
+    with pytest.raises(LaurentError, match="Groebner engine"):
+        ext_dims(P, Q)
 
 
 def test_solved_variable_is_the_lowest_with_a_constant_coefficient():

@@ -18,6 +18,7 @@ from mfhrr.mfcat import (
     shift_mf,
     tensor_mf,
 )
+from mfhrr.hochschild import koszul_generator_matrices
 from mfhrr.polyring import Poly, parse_poly
 
 XY = ("x", "y")
@@ -50,6 +51,24 @@ def test_koszul_two_rows():
     # frozen basis order: evens [{}, {1,2}], odds [{1}, {2}]
     assert K.delta0 == ((P("x"), P("-y")), (P("y^2"), P("x")))
     assert K.delta1 == ((P("x"), P("y")), (P("-y^2"), P("x")))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_koszul_delta_is_the_local_model_operators(n):
+    # delta = sum a_i e_i* + b_i e_i, with e_i and e_i* the constant matrices
+    # the local model presents, so both read one basis, layout and sign rule
+    V = tuple(f"a{i}" for i in range(n)) + tuple(f"b{i}" for i in range(n))
+    a = [Poly.variable(V, i) for i in range(n)]
+    b = [Poly.variable(V, n + i) for i in range(n)]
+    ops = koszul_generator_matrices(V[:n])
+    want = [[Poly.zero(V)] * 2 ** n for _ in range(2 ** n)]
+    for i in range(n):
+        suffix = str(i + 1) if n > 1 else ""
+        for r in range(2 ** n):
+            for c in range(2 ** n):
+                want[r][c] = (want[r][c] + b[i] * ops[f"e{suffix}"][r][c]
+                              + a[i] * ops[f"e{suffix}*"][r][c])
+    assert koszul_mf(V, a, b).delta_full() == tuple(map(tuple, want))
 
 
 def test_mf_constructor_reports_bad_entry():
