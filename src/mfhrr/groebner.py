@@ -38,6 +38,9 @@ of the pure-power cover x_i^N_i = sum_j c_ij g_j are reduced against the
 same graph.  buchberger builds a plain basis and is kept as the reference
 these are tested against.
 
+Exponent tuples multiply through polyring._mono_mul, the package's one
+monomial product, which hochschild's letter tables use too.
+
 The engine takes ordinary polynomials only: every polynomial enters it
 through _to_vec, which passes it through polyring's one Laurent gate.  One
 walk counts standard monomials (_standard_monomials): quotient_basis starts
@@ -51,9 +54,9 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, le, sub
+from operator import le, sub
 
-from .polyring import Poly, _exact, _require_ordinary, degrevlex_key
+from .polyring import Poly, _exact, _mono_mul, _require_ordinary, degrevlex_key
 
 DEFAULT_MAX_SPAIRS = 10**6
 ENV_MAX_SPAIRS = "MFHRR_MAX_SPAIRS"
@@ -101,10 +104,6 @@ def _heap_key(term):
     one, so a heapq min-heap pops the largest term first."""
     comp, mono = term
     return (comp, -sum(mono), mono[::-1])
-
-
-def _mono_mul(a, b):
-    return tuple(map(add, a, b))
 
 
 def _mono_divides(a, b):
@@ -204,7 +203,7 @@ def _max_spairs():
     return DEFAULT_MAX_SPAIRS
 
 
-def _buchberger_raw(vectors, use_product_criterion: bool):
+def _buchberger_raw(vectors):
     """Reduced Groebner basis of the module generated by the vectors.
 
     Returns (basis, stats), basis a _Basis whose elements are monic and
@@ -230,8 +229,6 @@ def _buchberger_raw(vectors, use_product_criterion: bool):
             if ci != cj:
                 continue
             lcm = _mono_lcm(mi, mj)
-            if use_product_criterion and lcm == _mono_mul(mi, mj):
-                continue
             counter += 1
             heapq.heappush(pairs, (_term_key((ci, lcm)), counter, i, j, lcm))
 
@@ -363,7 +360,7 @@ def buchberger(gens) -> GroebnerBasis:
     """
     gens, variables, ncomp = _gens_info(gens)
     vectors = [_to_vec(g, ncomp) for g in gens]
-    basis, stats = _buchberger_raw(vectors, ncomp == 1)
+    basis, stats = _buchberger_raw(vectors)
     return GroebnerBasis(tuple(variables), ncomp, basis, stats)
 
 
@@ -423,7 +420,7 @@ class GraphBasis:
         graph = [{**g, (self.ncomp + k, tag): 1}
                  for k, g in enumerate(self.gens)]
         graph += _ideal_vectors(ideal, self.ncomp)
-        self.basis, self.stats = _buchberger_raw(graph, False)
+        self.basis, self.stats = _buchberger_raw(graph)
 
     def syzygy_vectors(self) -> list:
         """The tag-block elements as checked vectors on F_s, component k
@@ -598,7 +595,7 @@ def _standard_monomials(starts, leads, infinite) -> set:
 # -- isolated singularity validation ------------------------------------------
 
 def _origin_support(gens, what: str):
-    """(graph, basis, quotient monomials, exponents) of an ideal supported
+    """(graph, basis, quotient dimension, exponents) of an ideal supported
     at the origin alone, all from one GraphBasis(gens).
 
     The basis is the graph's image_basis, the reduced Groebner basis
@@ -612,10 +609,9 @@ def _origin_support(gens, what: str):
     graph = GraphBasis(gens)
     gb = graph.image_basis()
     try:
-        qb = quotient_basis(gb)
+        mu = len(quotient_basis(gb))
     except NotZeroDimensionalError as e:
         raise IsolatedSingularityError(f"{what} is not zero-dimensional: {e}") from None
-    mu = len(qb)
     if mu == 0:
         raise IsolatedSingularityError(
             f"{what} is the unit ideal: it has no zero at the origin")
@@ -632,20 +628,17 @@ def _origin_support(gens, what: str):
                                   for (_, m), c in power.items()}, gb.basis)
             k += 1
         exponents.append(k)
-    return graph, gb, qb, tuple(exponents)
+    return graph, gb, mu, tuple(exponents)
 
 
 @dataclass(frozen=True)
 class IsolatedReport:
-    """The Jacobian record of a potential: Milnor number, Groebner basis
-    of the Jacobian ideal, the monomial basis of the Milnor algebra, the
-    graph basis of the partials the basis was read from (it gives the
-    cover's cofactors), and the least exponents N_i with x_i^N_i in the
-    Jacobian ideal."""
+    """The Jacobian record of a potential: Milnor number, the graph basis
+    of the partials (its main block is the Jacobian ideal's reduced
+    Groebner basis, and it gives the cover's cofactors), and the least
+    exponents N_i with x_i^N_i in the Jacobian ideal."""
 
     milnor: int
-    jacobian_gb: GroebnerBasis
-    monomial_basis: tuple
     graph: GraphBasis
     exponents: tuple
 
@@ -672,5 +665,5 @@ def check_isolated(f: Poly) -> IsolatedReport:
                 f"the origin is not a critical point: d/d{f.vars[i]} has a constant term")
     if all(p.is_zero() for p in partials):
         raise IsolatedSingularityError("f has identically vanishing gradient")
-    graph, gb, qb, exponents = _origin_support(partials, "the jacobian ideal")
-    return IsolatedReport(len(qb), gb, tuple(qb), graph, exponents)
+    graph, _, milnor, exponents = _origin_support(partials, "the jacobian ideal")
+    return IsolatedReport(milnor, graph, exponents)

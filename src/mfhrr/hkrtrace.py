@@ -11,7 +11,10 @@ twisted by the row-plus-column parity, and str is the supertrace.  Each R or
 primed letter carries form degree one, so the J-sum stops at the number of
 variables and everything is exact over the rationals.
 
-The same engine gives Chern forms (the value on 1[]).  A Chern form is a
+One sum, _trace_sum, evaluates this for every word and gives Chern forms
+too: on the identity word 1[] it is sum_J (-1)^J/J! str(R^J), with the
+accumulator starting at R^J, so no identity matrix is multiplied in, and
+_curvature_powers is the one source of the powers R^J.  A Chern form is a
 single even form with no u-dependence, so the degree twist gamma fixes it
 and is not computed.  Nor is a Todd class: on affine space with an
 isolated critical point, the only setting here, the twisted Todd class
@@ -187,24 +190,21 @@ def _compositions(total, slots):
             yield (head,) + rest
 
 
-def _word_trace(pres, word, rpow):
-    nv = len(pres.variables)
-    n = len(word) - 1
-    total = DiffForm.zero(pres.variables)
-    if n > nv:
-        return total
-    head = _letter_forms(pres, word[0])[0]
-    primes = [_letter_forms(pres, x)[1] for x in word[1:]]
-    if any(p.is_zero() for p in primes):
-        return total
-    for J in range(nv - n + 1):
+def _trace_sum(variables, head, primes, rpow):
+    """sum_J (-1)^J/(n+J)! sum_{j0+...+jn=J} str(head R^j0 A1' R^j1 ... An' R^jn)
+    for the n primed letters; head None is the identity, whose accumulator
+    starts at R^j0."""
+    n = len(primes)
+    total = DiffForm.zero(variables)
+    for J in range(len(variables) - n + 1):
         weight = Fraction((-1) ** J, math.factorial(n + J))
         for comp in _compositions(J, n + 1):
             if any(j >= len(rpow) for j in comp):
                 continue
-            acc = head
-            if comp[0]:
-                acc = acc.mul(rpow[comp[0]])
+            if head is None:
+                acc = rpow[comp[0]]
+            else:
+                acc = head.mul(rpow[comp[0]]) if comp[0] else head
             for t in range(n):
                 acc = acc.mul(primes[t])
                 if comp[t + 1]:
@@ -213,6 +213,15 @@ def _word_trace(pres, word, rpow):
             if not tr.is_zero():
                 total = total + tr.scale(weight)
     return total
+
+
+def _word_trace(pres, word, rpow):
+    if len(word) - 1 > len(pres.variables):
+        return DiffForm.zero(pres.variables)
+    primes = [_letter_forms(pres, x)[1] for x in word[1:]]
+    if any(p.is_zero() for p in primes):
+        return DiffForm.zero(pres.variables)
+    return _trace_sum(pres.variables, _letter_forms(pres, word[0])[0], primes, rpow)
 
 
 def _as_parts(chain):
@@ -348,9 +357,5 @@ def chern_form(P) -> ChernForm:
     of the identity word 1[] of End(P).
 
     Built once per P, keyed by content, and shared."""
-    total = DiffForm.zero(P.vars)
-    for J, power in enumerate(_curvature_powers(P.vars, P.parities(), P.delta_full())):
-        tr = power.supertrace()
-        if not tr.is_zero():
-            total = total + tr.scale(Fraction((-1) ** J, math.factorial(J)))
-    return ChernForm(P.f, total)
+    rpow = _curvature_powers(P.vars, P.parities(), P.delta_full())
+    return ChernForm(P.f, _trace_sum(P.vars, None, [], rpow))

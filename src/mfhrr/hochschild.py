@@ -32,10 +32,10 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from operator import add, itemgetter
+from operator import itemgetter
 
 from .mfcat import MatrixFactorization, _exterior
-from .polyring import Poly, _exact
+from .polyring import Poly, _exact, _mono_mul
 
 
 class ChainError(ValueError):
@@ -44,10 +44,6 @@ class ChainError(ValueError):
 
 def _zero_mono(nv):
     return (0,) * nv
-
-
-def _mono_add(a, b):
-    return tuple(map(add, a, b))
 
 
 # -- algebra presentations -----------------------------------------------------
@@ -179,7 +175,7 @@ class Alphabet:
         out = row.get(y)
         if out is None:
             (mx, ix), (my, iy) = self.atoms[x], self.atoms[y]
-            mono = _mono_add(mx, my)
+            mono = _mono_mul(mx, my)
             out = row[y] = tuple((self.letter(mono, k), c)
                                  for k, c in self.pres.mult[(ix, iy)])
         return out
@@ -190,7 +186,7 @@ class Alphabet:
         if out is None:
             m, i = self.atoms[x]
             out = self._lead_diff[x] = tuple(
-                (self.letter(_mono_add(m, mono), k), c)
+                (self.letter(_mono_mul(m, mono), k), c)
                 for mono, k, c in self.pres.diff[i])
         return out
 
@@ -200,7 +196,7 @@ class Alphabet:
         if out is None:
             m, i = self.atoms[x]
             out = self._entry_diff[x] = self._entry_rows(
-                (_mono_add(m, mono), k, c) for mono, k, c in self.pres.diff[i])
+                (_mono_mul(m, mono), k, c) for mono, k, c in self.pres.diff[i])
         return out
 
     def _entry_rows(self, rows):
@@ -226,7 +222,7 @@ class Alphabet:
         out = row.get(moved)
         if out is None:
             (m, i), (mm, _) = self.atoms[x], self.atoms[moved]
-            out = row[moved] = self.letter(_mono_add(m, mm), i)
+            out = row[moved] = self.letter(_mono_mul(m, mm), i)
         return out
 
     def split(self, x):
@@ -423,7 +419,7 @@ def _poly_matrix_expansion(acc, n, layout):
     return tuple(out)
 
 
-def polynomial_presentation(variables, curvature=None, *, laurent=(), label=None):
+def polynomial_presentation(variables, curvature=None, *, laurent=()):
     """The polynomial ring itself (rank 1|0, zero differential), optionally
     with a declared curvature so that b0 acts."""
     one = ((1,),)
@@ -435,7 +431,7 @@ def polynomial_presentation(variables, curvature=None, *, laurent=(), label=None
     return AlgebraPresentation(
         variables, (0,), (one,), (0,), {(0, 0): ((0, 1),)}, {0: ()},
         curv, "scalar", {"1": ((0, 1),)}, ("1",), laurent,
-        label or f"Q[{','.join(variables)}]")
+        f"Q[{','.join(variables)}]")
 
 
 def koszul_generator_matrices(variables):
@@ -1134,21 +1130,16 @@ def alpha_op(chain: Chain) -> Chain:
     return total
 
 
-def _alpha_signed(op, chain):
-    """op(chain with its odd-symbol words negated): op keeps symbols."""
-    return op(Chain.canonical(chain.pres, {
-        k: -v if len(k[0]) & 1 else v for k, v in chain.terms.items()}))
-
-
 def cech_differential(x: UChain) -> UChain:
-    """b + uB + alpha with the sign (-1)^{#symbols} on the chain part."""
-    parts = []
-    for k in range(x.order):
-        term = _alpha_signed(b_op, x.parts[k]) + alpha_op(x.parts[k])
-        if k:
-            term = term + _alpha_signed(B_op, x.parts[k - 1])
-        parts.append(term)
-    return UChain(x.pres, parts)
+    """b + uB + alpha with the sign (-1)^{#symbols} on the chain part.
+
+    b and B keep the symbols, so the chain part is mixed_differential of
+    the series with each part's odd-symbol words negated once."""
+    signed = UChain(x.pres, [Chain.canonical(x.pres, {
+        k: -v if len(k[0]) & 1 else v for k, v in part.terms.items()})
+        for part in x.parts])
+    return UChain(x.pres, [term + alpha_op(part) for term, part in
+                           zip(mixed_differential(signed).parts, x.parts)])
 
 
 # -- the one-variable tower ---------------------------------------------------------

@@ -18,8 +18,9 @@ test and every Groebner basis see only a' over R'.  The subquotient
 reduces every image generator to zero modulo the kernel's basis, so it
 also proves d^2 = 0 exactly (modulo a' over R' on the Koszul route), the
 one place where a complex is checked to be one.  A degree-truncated dense
-linear algebra routine over the Hom complex is an independent
-cross-check; the two must agree whenever the answer is finite.
+linear algebra routine over the Hom complex (ext_dims_truncated, at degree
+bounds up to 24) is an independent cross-check, with its own elimination
+and monomial arithmetic; the two must agree whenever the answer is finite.
 """
 from __future__ import annotations
 
@@ -353,22 +354,22 @@ def _truncated_pair(C: Z2Complex, bound):
     return (ker0 - im_into0, ker1 - im_into1)
 
 
-def ext_dims_truncated(P: MatrixFactorization, Q: MatrixFactorization, *,
-                       start: int = 2, max_degree: int = 24):
+def ext_dims_truncated(P: MatrixFactorization, Q: MatrixFactorization):
     """Cross-check route for ext_dims; returns (dim_ext0, dim_ext1).
 
-    Stops once three consecutive truncation levels report the same pair.
-    A bound below the degree of some differential entry cannot see that
-    entry act at all, so the window only opens past the largest one.
+    Stops once three consecutive truncation levels up to degree 24 report
+    the same pair.  A bound below the degree of some differential entry
+    cannot see that entry act at all, so the window opens at degree 2 or
+    past the largest one.
     """
     C = hom_complex(P, Q)
     deg_step = max((sum(mono) for M in (C.d0, C.d1) for row in M
                     for p in row for mono in p.terms), default=0)
     history = []
-    for bound in range(max(start, deg_step + 1), max_degree + 1):
+    for bound in range(max(2, deg_step + 1), 25):
         history.append(_truncated_pair(C, bound))
         if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
             return history[-1]
     raise RuntimeError(
-        f"truncated ext dimensions did not stabilize below degree {max_degree}: "
+        f"truncated ext dimensions did not stabilize below degree 24: "
         f"{history}")

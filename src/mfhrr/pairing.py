@@ -257,22 +257,17 @@ def _entry_checks(entry, only_checks) -> dict:
             raise MFValidationError(
                 f"corpus factorization of {P.f}, entry potential is {f}")
     n = len(variables)
-    checks = entry.get("checks") or _ENTRY_CHECKS
-    if only_checks is not None:
-        checks = [c for c in checks if c in only_checks]
+    checks = _ENTRY_CHECKS if only_checks is None else [
+        c for c in _ENTRY_CHECKS if c in only_checks]
     m = len(mfs)
-    chi = [[euler_chi(p, q) for q in mfs] for p in mfs]
-    val = [[canonical_pairing_u0(p, q) for q in mfs] for p in mfs]
+    reports = [[hrr_check(p, q) for q in mfs] for p in mfs]
+    chi = [[r.chi_ext for r in row] for row in reports]
+    val = [[r.chi_residue for r in row] for row in reports]
 
     if "hrr" in checks:
-        rows = []
-        for i in range(m):
-            for j in range(m):
-                rep = PairingReport(chi[i][j], val[i][j], n, calibrate_sign(n),
-                                    val[i][j] == chi[i][j])
-                rows.append({"p": i, "q": j, **rep.jsonable()})
-                out["pass"] = out["pass"] and rep.passed
-        out["hrr"] = rows
+        out["hrr"] = [{"p": i, "q": j, **rep.jsonable()}
+                      for i, row in enumerate(reports) for j, rep in enumerate(row)]
+        out["pass"] = all(rep.passed for row in reports for rep in row)
     if "symmetry" in checks:
         sgn = (-1) ** n
         good = all(chi[i][j] == sgn * chi[j][i] and val[i][j] == sgn * val[j][i]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -57,6 +58,11 @@ def _exact(c):
 def degrevlex_key(mono: Monomial):
     """Sort key under which larger means bigger in degrevlex order."""
     return (sum(mono), tuple(-e for e in reversed(mono)))
+
+
+def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    """The product x^a x^b, as an exponent tuple."""
+    return tuple(map(add, a, b))
 
 
 class Poly:

@@ -149,11 +149,10 @@ class ResidueProblem:
     the ideal is supported at the origin alone (the same test that
     check_isolated applies to a Jacobian ideal).  The problem keeps what
     that test reads off one graph basis of the denominators: the graph, the
-    reduced basis gb, the quotient monomials and the least exponents.
+    reduced basis gb and the least exponents.
     """
 
-    __slots__ = ("numerator", "denominators", "gb", "quotient_monomials", "graph",
-                 "exponents")
+    __slots__ = ("numerator", "denominators", "gb", "graph", "exponents")
 
     def __init__(self, numerator: Poly, denominators):
         denominators = list(denominators)
@@ -170,7 +169,7 @@ class ResidueProblem:
             raise IsolatedSingularityError("zero denominator generator")
         self.numerator = numerator
         self.denominators = denominators
-        self.graph, self.gb, self.quotient_monomials, self.exponents = _origin_support(
+        self.graph, self.gb, _, self.exponents = _origin_support(
             denominators, "the denominator ideal")
 
     def cover(self, exponents=None) -> DenominatorCover:
@@ -191,7 +190,8 @@ def groth_residue(prob: ResidueProblem,
 
     A caller-supplied cover is checked against the problem's own
     denominators before use, so a cover built for a different ideal
-    fails loudly instead of producing a wrong number.
+    fails loudly instead of producing a wrong number.  The value is read
+    by res_product, without forming numerator * det.
     """
     if cover is None:
         cover = prob.cover()
@@ -205,4 +205,4 @@ def groth_residue(prob: ResidueProblem,
                 raise ValueError(
                     f"cover row {i} does not certify {variables[i]}^{e} "
                     "over these denominators")
-    return res_monomial(prob.numerator * cover.det, cover.exponents)
+    return res_product(prob.numerator, cover.det, cover.exponents)

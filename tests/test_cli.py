@@ -247,6 +247,21 @@ def test_hrr_failing_entry_exit_code(tmp_path, capsys):
     assert json.loads(out)["summary"]["pass"] is False
 
 
+def test_hrr_corpus_entry_does_not_choose_its_checks(tmp_path, capsys):
+    # an entry's own keys do not select its verdicts: a "checks" list naming
+    # no check, or a string, still gets the hrr row of every pair
+    mfs = [{"koszul": {"a": ["x"], "b": ["y"]}}, {"koszul": {"a": ["y"], "b": ["x"]}}]
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(
+        [{"name": name, "vars": ["x", "y"], "f": "x*y", "mfs": mfs, "checks": checks}
+         for name, checks in (("list", ["nothing"]), ("string", "shiftsum"))]))
+    code, out, _ = run_cli(capsys, "hrr", "--corpus", str(corpus))
+    assert code == 0
+    for row in json.loads(out)["entries"]:
+        assert [(r["p"], r["q"], r["pass"]) for r in row["hrr"]] == [
+            (0, 0, True), (0, 1, True), (1, 0, True), (1, 1, True)]
+
+
 def test_hrr_rejects_a_broken_corpus_file(tmp_path, capsys):
     # a file that is not JSON, and JSON that is not an array of entries
     corpus = tmp_path / "corpus.json"

@@ -358,6 +358,24 @@ def test_string_koszul_sequence_and_repeated_vars_fail_alone():
     assert good["pass"] is True
 
 
+def test_one_failing_pair_fails_the_entry(monkeypatch):
+    # the entry's hrr verdict needs every pair: skew chi(P, Q) for one
+    # ordered pair only and the other three rows still pass
+    entries = [{"name": "x*y", "vars": ["x", "y"], "f": "x*y",
+                "mfs": [{"koszul": {"a": ["x"], "b": ["y"]}},
+                        {"koszul": {"a": ["y"], "b": ["x"]}}]}]
+    real = pairing.euler_chi
+    first = kmf(XY, ["x"], ["y"])
+
+    def skewed(P, Q):
+        return real(P, Q) + (P == first and Q != first)
+
+    monkeypatch.setattr(pairing, "euler_chi", skewed)
+    row = run_corpus(entries, suites=False, only_checks=("hrr",))["entries"][0]
+    assert [r["pass"] for r in row["hrr"]] == [True, False, True, True]
+    assert row["pass"] is False
+
+
 def test_mismatched_entry_potential_rejected():
     entries = [{"name": "wrong", "vars": ["x", "y"], "f": "x*y",
                 "mfs": [{"koszul": {"a": ["x", "y"], "b": ["x", "y^2"]}}]}]

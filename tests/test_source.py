@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import mfhrr
@@ -32,3 +34,18 @@ def test_no_assertion_errors_raised_in_package():
             if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                 found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def test_traced_methods_exist():
+    # bench/tracer.py wraps these methods on their classes by name: a
+    # refactor that renames or moves one would break the traced benchmark
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    named = [*tracer.METHODS, *tracer.COUNTED]
+    assert named
+    missing = [key for key in named
+               if key[2] not in vars(getattr(
+                   importlib.import_module(f"mfhrr.{key[0]}"), key[1], object))]
+    assert missing == []
