@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-from .groebner import ENV_MAX_SPAIRS
 from .hkrtrace import chern_form
 from .homalg import ext_dims
 from .mfcat import json_variables, koszul_mf, mf_from_json, mf_to_json
@@ -237,10 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         p.add_argument("--format", choices=("json", "text"), default="json",
                        help="report format (default json)")
-        p.add_argument("--max-spairs", type=_positive, default=None,
-                       metavar="N",
-                       help=f"cap on Groebner S-pair reductions "
-                            f"(or set {ENV_MAX_SPAIRS})")
         return p
 
     p = add("validate", _cmd_validate, "check a factorization file")
@@ -310,20 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
 def dispatch(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    previous = os.environ.get(ENV_MAX_SPAIRS)
-    if args.max_spairs is not None:
-        os.environ[ENV_MAX_SPAIRS] = str(args.max_spairs)
     try:
         code, payload = args.func(args)
     except (ValueError, RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    finally:
-        # the cap holds for this command only, not for later calls in-process
-        if previous is None:
-            os.environ.pop(ENV_MAX_SPAIRS, None)
-        else:
-            os.environ[ENV_MAX_SPAIRS] = previous
     sys.stdout.write(payload.decode())
     return code
 

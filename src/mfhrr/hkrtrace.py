@@ -225,15 +225,16 @@ def _word_trace(pres, word, rpow):
 
 
 def _as_parts(chain):
+    """The u-parts of a chain or u-chain; a bare chain is a series of order 1."""
     if isinstance(chain, UChain):
-        return chain.pres, list(enumerate(chain.parts))
+        return chain.pres, chain.parts
     if isinstance(chain, Chain):
-        return chain.pres, [(0, chain)]
+        return chain.pres, (chain,)
     raise ChainError(f"cannot trace a {type(chain).__name__}")
 
 
-def _trace_components(chain, order):
-    pres, parts = _as_parts(chain)
+def _trace_components(pres, parts):
+    order = len(parts)
     parities = pres.module_parities
     if parities is None:
         raise ChainError(
@@ -247,9 +248,7 @@ def _trace_components(chain, order):
             f"algebra {pres.label} has no ambient factorization to trace against")
     rpow = _curvature_powers(pres.variables, parities, delta)
     buckets = {}
-    for upow, part in parts:
-        if upow >= order:
-            break
+    for upow, part in enumerate(parts):
         for (alphas, word), coeff in part.terms.items():
             value = _word_trace(pres, word, rpow)
             if value.is_zero():
@@ -264,22 +263,25 @@ def _trace_components(chain, order):
     return out
 
 
-def tr_nabla(chain, *, order) -> FormSeries:
-    """The supertrace of a chain or u-chain, as a form series in u.
+def tr_nabla(chain) -> FormSeries:
+    """The supertrace of a chain or u-chain, as a form series in u of the
+    same order: a u-chain's own order, 1 for a bare chain.
 
     Chains carrying Cech tags have componentwise traces; call tr_nabla_cech
     for those.
     """
-    comps = _trace_components(chain, order)
+    pres, parts = _as_parts(chain)
+    comps = _trace_components(pres, parts)
     stray = [a for a in comps if a]
     if stray:
         raise ChainError("chain carries Cech indices; use tr_nabla_cech")
-    return comps.get(frozenset(), FormSeries.zero(chain.pres.variables, order))
+    return comps.get(frozenset(), FormSeries.zero(pres.variables, len(parts)))
 
 
-def tr_nabla_cech(chain, *, order) -> dict:
-    """Componentwise trace of a Cech-tagged chain: alpha set -> form series."""
-    return _trace_components(chain, order)
+def tr_nabla_cech(chain) -> dict:
+    """Componentwise trace of a Cech-tagged chain: alpha set -> form series,
+    each of the chain's order (a u-chain's own order, 1 for a bare chain)."""
+    return _trace_components(*_as_parts(chain))
 
 
 def cech_residue(components) -> dict:

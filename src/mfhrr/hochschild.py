@@ -328,7 +328,7 @@ def _basis_layout(n):
 
 
 def endomorphism_presentation(P: MatrixFactorization, *, normalization="scalar",
-                              extra_names=None, laurent=(), label=None):
+                              extra_names=None, laurent=()):
     """The endomorphism dg algebra of a matrix factorization (or two-periodic
     complex presented as one), with d = [delta, -]."""
     parities = P.parities()
@@ -387,7 +387,7 @@ def endomorphism_presentation(P: MatrixFactorization, *, normalization="scalar",
     return AlgebraPresentation(
         variables, parities, tuple(mats), parity, mult, diff, (),
         normalization, names, display, laurent,
-        label or f"End({','.join(variables)}; {P.f})", source=P)
+        f"End({','.join(variables)}; {P.f})", source=P)
 
 
 def _const_mul(A, B):
@@ -467,8 +467,7 @@ def local_model_presentation():
     K = MatrixFactorization(variables, zero, [[zero]], [[x]])
     names = koszul_generator_matrices(variables)
     return endomorphism_presentation(
-        K, normalization="module", extra_names=names, laurent={0},
-        label="local model")
+        K, normalization="module", extra_names=names, laurent={0})
 
 
 @lru_cache(maxsize=None)

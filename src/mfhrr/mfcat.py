@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from .polyring import Poly, parse_poly
+from .polyring import Poly, parse_poly, wedge_sign
 
 
 class MFValidationError(ValueError):
@@ -176,14 +176,16 @@ def _exterior(n: int):
 
     The basis is the subsets S of {1..n} as ascending tuples, even ones
     first, each parity by (size, lexicographic).  wedge[i - 1] lists e_i as
-    (source, target, sign) triples, S -> S + {i} with sign (-1)^#{j in S :
-    j < i}; contract[i - 1] lists e_i*, its transpose, S -> S - {i} with
-    sign (-1)^(position of i in S).  koszul_mf and the local model's
-    operators (hochschild.koszul_generator_matrices) both read it.
+    (source, target, sign) triples, S -> S + {i} with the sign and sorted
+    target of polyring.wedge_sign((i,), S), the sign (-1)^#{j in S : j < i};
+    contract[i - 1] lists e_i*, its transpose, S -> S - {i} with sign
+    (-1)^(position of i in S).  koszul_mf and the local model's operators
+    (hochschild.koszul_generator_matrices) both read it.
     """
     subsets = [s for k in range(n + 1) for s in itertools.combinations(range(1, n + 1), k)]
-    wedge = [[(s, tuple(sorted(s + (i,))), (-1) ** sum(j < i for j in s))
-              for s in subsets if i not in s] for i in range(1, n + 1)]
+    wedge = [[(s, target, sign) for s in subsets if i not in s
+              for sign, target in (wedge_sign((i,), s),)]
+             for i in range(1, n + 1)]
     contract = [[(t, s, sign) for s, t, sign in triples] for triples in wedge]
     even = [s for s in subsets if len(s) % 2 == 0]
     odd = [s for s in subsets if len(s) % 2]

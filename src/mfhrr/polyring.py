@@ -561,9 +561,8 @@ class FormSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FormSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        return (self.vars == other.vars
-                and all(self.coeffs[k] == other.coeffs[k] for k in range(n)))
+        return (self.vars == other.vars and self.order == other.order
+                and self.coeffs == other.coeffs)
 
     def __str__(self) -> str:
         parts = [f"u^{k}*[{c}]" for k, c in enumerate(self.coeffs) if not c.is_zero()]

@@ -2,9 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -94,23 +92,18 @@ def test_residue_output_bytes_are_pinned(capsys):
                    '"det":"-1/2*x^2 + 1/6*y^2","exponents":[3,3]},"value":"1/6"}\n')
 
 
-@pytest.mark.parametrize("before", [None, "1000"])
-def test_max_spairs_holds_for_one_command(capsys, monkeypatch, before):
-    # a capped command used to leave its cap in os.environ for every later
-    # call in the same process
-    if before is None:
-        monkeypatch.delenv(ENV_MAX_SPAIRS, raising=False)
-    else:
-        monkeypatch.setenv(ENV_MAX_SPAIRS, before)
+def test_max_spairs_env_caps_the_engine(capsys, monkeypatch):
+    # the environment variable is the one channel for the S-pair cap: a
+    # capped command fails as a whole, and the uncapped one then succeeds
     argv = ("residue", "--f", "x^3 + x*y^3", "--numerator", "x*y")
-    code, out, err = run_cli(capsys, *argv, "--max-spairs", "1")
+    monkeypatch.setenv(ENV_MAX_SPAIRS, "1")
+    code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert "S-pair budget exhausted (1)" in err
-    assert os.environ.get(ENV_MAX_SPAIRS) == before
+    monkeypatch.delenv(ENV_MAX_SPAIRS)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert json.loads(out)["cover"]["exponents"] == [3, 5]
-    assert os.environ.get(ENV_MAX_SPAIRS) == before
 
 
 def test_residue_rejects_non_isolated(capsys):
@@ -324,6 +317,11 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         main(["chern", "--mf", "F", "--utrunc", "3"])  # chern has no u-order
+    assert exc.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        # the S-pair cap is set through MFHRR_MAX_SPAIRS only
+        main(["residue", "--f", "x*y", "--numerator", "1", "--max-spairs", "1"])
     assert exc.value.code == 2
     capsys.readouterr()
 

@@ -65,35 +65,52 @@ def k_xy():
 
 
 def test_trace_of_head_e_word(model):
-    got = tr_nabla(model.chain("e"), order=3)
-    want = FormSeries(X, [form(X, {(0,): {(0,): Fraction(-1)}})], 3)
+    got = tr_nabla(model.chain("e"))
+    want = FormSeries(X, [form(X, {(0,): {(0,): Fraction(-1)}})], 1)
     assert got == want
 
 
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_trace_has_the_order_of_the_series(model, k):
+    c = model.chain("e")
+    got = tr_nabla(UChain.from_chain(c, k))
+    assert got.order == k
+    assert got == FormSeries(X, tr_nabla(c).coeffs, k)
+    assert tr_nabla(UChain.from_chain(model.chain("1"), k)).order == k
+    comps = tr_nabla_cech(eta_construct(1, k))
+    assert comps and {s.order for s in comps.values()} == {k}
+
+
+def test_trace_of_a_chain_has_order_one(model):
+    assert tr_nabla(model.chain("1")).order == 1
+    comps = tr_nabla_cech(model.chain("e", alphas=(0,)))
+    assert comps and {s.order for s in comps.values()} == {1}
+
+
 def test_trace_of_identity_word(model):
-    assert tr_nabla(model.chain("1"), order=3).is_zero()
+    assert tr_nabla(model.chain("1")).is_zero()
 
 
 @pytest.mark.parametrize("j", range(5))
 def test_trace_kills_y_powers(j):
-    assert tr_nabla(y_power(j), order=3).is_zero()
+    assert tr_nabla(y_power(j)).is_zero()
 
 
 def test_trace_of_phi0_is_minus_dx():
     phi0 = phi_construct(0, 6)
-    got = tr_nabla(phi0, order=6)
+    got = tr_nabla(phi0)
     want = FormSeries(X, [form(X, {(0,): {(0,): Fraction(-1)}})], 6)
     assert got == want
 
 
 @pytest.mark.parametrize("j", [1, 2])
 def test_trace_kills_higher_phi(j):
-    assert tr_nabla(phi_construct(j, 5), order=5).is_zero()
+    assert tr_nabla(phi_construct(j, 5)).is_zero()
 
 
 @pytest.mark.parametrize("j", range(4))
 def test_eta_trace_value(j):
-    comps = tr_nabla_cech(eta_construct(j, 5), order=5)
+    comps = tr_nabla_cech(eta_construct(j, 5))
     pole = form(X, {(0,): {(-j - 1,): -Fraction(math.factorial(j))}})
     assert set(comps) == {frozenset({0})}
     assert comps[frozenset({0})] == FormSeries(X, [pole], 5)
@@ -101,25 +118,25 @@ def test_eta_trace_value(j):
 
 @pytest.mark.parametrize("j", range(5))
 def test_residue_of_eta_trace(j):
-    comps = tr_nabla_cech(eta_construct(j, 5), order=5)
+    comps = tr_nabla_cech(eta_construct(j, 5))
     want = {0: Fraction(-1)} if j == 0 else {}
     assert cech_residue(comps) == want
 
 
 def test_residue_without_full_tag_is_empty(model):
-    comps = tr_nabla_cech(model.chain("e"), order=2)
+    comps = tr_nabla_cech(model.chain("e"))
     assert cech_residue(comps) == {}
 
 
 def test_tr_nabla_rejects_cech_words(model):
     with pytest.raises(ChainError):
-        tr_nabla(model.chain("e", alphas=(0,)), order=3)
+        tr_nabla(model.chain("e", alphas=(0,)))
 
 
 def test_tr_nabla_rejects_tensor_presentations(model):
     pres = tensor_presentation(model, model)
     with pytest.raises(ChainError):
-        tr_nabla(pres.chain(((0,), 5)), order=3)
+        tr_nabla(pres.chain(((0,), 5)))
 
 
 # ---- the chain-map identity ------------------------------------------------
@@ -133,8 +150,8 @@ def test_trace_intertwines_mixed_and_twisted(variables, a, b):
     for _ in range(60):
         c = random_chain(pres, rng, max_len=3, max_exp=2, nterms=2)
         u = UChain.from_chain(c, 3)
-        lhs = tr_nabla(mixed_differential(u), order=3)
-        rhs = tr_nabla(u, order=3).twist_diff(K.f)
+        lhs = tr_nabla(mixed_differential(u))
+        rhs = tr_nabla(u).twist_diff(K.f)
         assert lhs == rhs
 
 
@@ -145,8 +162,8 @@ def test_curved_polynomial_algebra_pairs_with_opposite_twist():
     for _ in range(30):
         c = random_chain(pres, rng, max_len=3, max_exp=2, nterms=2)
         u = UChain.from_chain(c, 3)
-        lhs = tr_nabla(mixed_differential(u), order=3)
-        assert lhs == tr_nabla(u, order=3).twist_diff(-f)
+        lhs = tr_nabla(mixed_differential(u))
+        assert lhs == tr_nabla(u).twist_diff(-f)
 
 
 def test_curvature_powers_built_once_per_presentation():
@@ -155,7 +172,7 @@ def test_curvature_powers_built_once_per_presentation():
     for K in (kmf(X, "x", "x"), kmf(XY, "x", "y"), kmf(XY, "x", "y")):
         pres = endomorphism_presentation(K, normalization="scalar")
         for _ in range(10):
-            tr_nabla(random_chain(pres, rng, max_len=2, max_exp=1, nterms=2), order=3)
+            tr_nabla(random_chain(pres, rng, max_len=2, max_exp=1, nterms=2))
     # two distinct (variables, parities, delta): the twin presentation reuses
     assert hkrtrace._curvature_powers.cache_info().misses == 2
 
@@ -163,7 +180,7 @@ def test_curvature_powers_built_once_per_presentation():
 def test_trace_of_identity_word_vanishes_in_one_variable(k_x2):
     pres = endomorphism_presentation(k_x2, normalization="scalar")
     idc = pres.chain("1")
-    assert tr_nabla(idc, order=3).is_zero()
+    assert tr_nabla(idc).is_zero()
 
 
 # ---- supertrace conventions -----------------------------------------------
@@ -340,8 +357,8 @@ def test_chern_odd_components_vanish(k_xy):
 def test_chern_form_is_trace_of_identity_word(variables, a, b):
     P = koszul_mf(variables, [parse_poly(s, variables) for s in a],
                   [parse_poly(s, variables) for s in b])
-    want = tr_nabla(endomorphism_presentation(P).chain("1"), order=3)
-    assert FormSeries(variables, [chern_form(P).form], 3) == want
+    want = tr_nabla(endomorphism_presentation(P).chain("1"))
+    assert FormSeries(variables, [chern_form(P).form], 1) == want
 
 
 def test_chern_serialization(k_xy):

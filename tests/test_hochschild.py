@@ -9,7 +9,6 @@ from hypothesis import given, seed, settings, strategies as st
 
 from mfhrr import hochschild
 from mfhrr.hochschild import (
-    AlgebraPresentation,
     B_op,
     Chain,
     ChainError,
@@ -39,7 +38,7 @@ from mfhrr.hochschild import (
     y_power,
 )
 from mfhrr.mfcat import dual_mf, koszul_mf
-from mfhrr.polyring import Poly, parse_poly
+from mfhrr.polyring import parse_poly
 
 
 def kmf(variables, a, b):
@@ -205,8 +204,8 @@ def test_curved_square_zero_needs_the_curvature_terms():
 # ---- shuffle products ------------------------------------------------------------
 
 def _tensor_pair():
-    A = endomorphism_presentation(kmf(XY, "x", "x"), label="sh-left")
-    B = endomorphism_presentation(kmf(XY, "x", "y"), label="sh-right")
+    A = endomorphism_presentation(kmf(XY, "x", "x"))
+    B = endomorphism_presentation(kmf(XY, "x", "y"))
     return A, B
 
 
@@ -806,8 +805,7 @@ def _shuffle_pairs():
     """(x presentation, y presentation) for the shuffles: internal, external
     scalar, external module and a presentation against itself."""
     A, B = _tensor_pair()
-    module = [endomorphism_presentation(kmf(XY, a, b), normalization="module",
-                                        label=f"module {a}{b}")
+    module = [endomorphism_presentation(kmf(XY, a, b), normalization="module")
               for a, b in (("x", "x"), ("x", "y"))]
     return {"internal": (A, A), "curved": (REFERENCE_KINDS["curved"],) * 2,
             "local": (REFERENCE_KINDS["local"],) * 2, "external": (A, B),

@@ -217,6 +217,18 @@ def test_twist_diff_components():
     assert t.coeffs[2].is_zero()
 
 
+def test_form_series_equality_is_strict():
+    # equal vars, equal order and equal coefficients: a shorter series is
+    # not equal to a longer one that starts with it
+    a = DiffForm.from_poly(P("x"))
+    short = FormSeries(XY, [a], 1)
+    assert short != FormSeries(XY, [a, DiffForm.dx(XY, 0)], 2)
+    assert short != FormSeries(XY, [a], 2)
+    assert FormSeries(XY, [a], 2) == FormSeries(XY, [a, DiffForm.zero(XY)], 2)
+    x = DiffForm.from_poly(parse_poly("x", ("x",)))
+    assert FormSeries(("x",), [x], 1) != FormSeries(("x", "z"), [], 1)
+
+
 # -- stored coefficients --------------------------------------------------------
 
 def _stored(p):

@@ -16,6 +16,23 @@ def _package_nodes():
             yield path.name, node
 
 
+def _unused_imports(path):
+    """Names a module imports and never reads: every name that an import
+    binds, other than __future__ features, must occur as a name node."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                bound[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in sorted(bound.items())
+            if name not in read]
+
+
 def test_no_assert_statements_in_package():
     # python -O strips assert statements, so an exact check written as one
     # would silently stop running; checks in the package raise instead
@@ -49,3 +66,12 @@ def test_traced_methods_exist():
                if key[2] not in vars(getattr(
                    importlib.import_module(f"mfhrr.{key[0]}"), key[1], object))]
     assert missing == []
+
+
+def test_no_unused_imports():
+    # an import nothing reads is dead weight, and in a test it hides what
+    # the test really exercises
+    package = Path(mfhrr.__file__).parent
+    sources = sorted([*package.glob("*.py"), *Path(__file__).parent.glob("*.py")])
+    found = [hit for path in sources for hit in _unused_imports(path)]
+    assert found == []
