@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 from pathlib import Path
 
@@ -92,18 +93,29 @@ def test_residue_output_bytes_are_pinned(capsys):
                    '"det":"-1/2*x^2 + 1/6*y^2","exponents":[3,3]},"value":"1/6"}\n')
 
 
-def test_max_spairs_env_caps_the_engine(capsys, monkeypatch):
-    # the environment variable is the one channel for the S-pair cap: a
-    # capped command fails as a whole, and the uncapped one then succeeds
+@pytest.mark.parametrize("before", [None, "1000"])
+def test_max_spairs_holds_for_one_command(capsys, monkeypatch, before):
+    # MFHRR_MAX_SPAIRS is the one channel for the S-pair cap: a capped
+    # command fails as a whole, the CLI writes no environment of its own, and
+    # the next command runs under whatever cap the caller set
+    if before is None:
+        monkeypatch.delenv(ENV_MAX_SPAIRS, raising=False)
+    else:
+        monkeypatch.setenv(ENV_MAX_SPAIRS, before)
     argv = ("residue", "--f", "x^3 + x*y^3", "--numerator", "x*y")
     monkeypatch.setenv(ENV_MAX_SPAIRS, "1")
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert "S-pair budget exhausted (1)" in err
-    monkeypatch.delenv(ENV_MAX_SPAIRS)
+    assert os.environ.get(ENV_MAX_SPAIRS) == "1"
+    if before is None:
+        monkeypatch.delenv(ENV_MAX_SPAIRS)
+    else:
+        monkeypatch.setenv(ENV_MAX_SPAIRS, before)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert json.loads(out)["cover"]["exponents"] == [3, 5]
+    assert os.environ.get(ENV_MAX_SPAIRS) == before
 
 
 def test_residue_rejects_non_isolated(capsys):
