@@ -197,9 +197,13 @@ def _max_spairs():
     env = os.environ.get(ENV_MAX_SPAIRS)
     if env:
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
-            raise ValueError(f"{ENV_MAX_SPAIRS} must be an integer, got {env!r}")
+            cap = None
+        if cap is None or cap < 0:
+            raise ValueError(
+                f"{ENV_MAX_SPAIRS} must be a non-negative integer, got {env!r}")
+        return cap
     return DEFAULT_MAX_SPAIRS
 
 

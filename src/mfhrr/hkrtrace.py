@@ -1,4 +1,4 @@
-"""Supertrace from Hochschild chains to twisted de Rham forms.
+"""Supertrace from Hochschild chains to twisted de Rham forms: the form side.
 
 The connection is always the flat entrywise derivative on a free module, so
 its curvature vanishes and the only matrix insertion is the primed
@@ -19,8 +19,13 @@ single even form with no u-dependence, so the degree twist gamma fixes it
 and is not computed.  Nor is a Todd class: on affine space with an
 isolated critical point, the only setting here, the twisted Todd class
 is 1.
-Chains tagged with Cech indices keep their tags; the residue of the
-fully-tagged top component is what the local duality tests consume.
+
+This module holds only that form side, which the index needs, and imports
+nothing from the chain engine.  The trace of a chain itself, tr_nabla and
+tr_nabla_cech, lives in hochschild, which builds each letter's matrix and
+calls _trace_sum here.  Chains tagged with Cech indices keep their tags;
+cech_residue reads the residue of the fully-tagged top component, which is
+what the local duality tests consume.
 """
 from __future__ import annotations
 
@@ -29,8 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
-from .hochschild import Chain, ChainError, UChain
-from .polyring import DiffForm, FormSeries, Poly, wedge_sign
+from .polyring import DiffForm, Poly, wedge_sign
 
 
 # -- form-valued matrices --------------------------------------------------
@@ -147,22 +151,7 @@ class MatrixForm:
         return f"<{n}x{n} form matrix, {len(self.entries)} entries>"
 
 
-# -- the trace map ----------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _letter_forms(pres, letter):
-    """A letter's matrix and its primed matrix, built once per
-    (presentation, letter id) and shared: callers only multiply them."""
-    mono, idx = pres.alphabet.atoms[letter]
-    scale = Poly.monomial(pres.variables, mono)
-    entries = {}
-    for r, row in enumerate(pres.basis[idx]):
-        for s, c in enumerate(row):
-            if c:
-                entries[(r, s)] = DiffForm.from_poly(scale * c)
-    matrix = MatrixForm(pres.variables, pres.module_parities, entries)
-    return matrix, matrix.prime()
+# -- the trace sum ----------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -213,75 +202,6 @@ def _trace_sum(variables, head, primes, rpow):
             if not tr.is_zero():
                 total = total + tr.scale(weight)
     return total
-
-
-def _word_trace(pres, word, rpow):
-    if len(word) - 1 > len(pres.variables):
-        return DiffForm.zero(pres.variables)
-    primes = [_letter_forms(pres, x)[1] for x in word[1:]]
-    if any(p.is_zero() for p in primes):
-        return DiffForm.zero(pres.variables)
-    return _trace_sum(pres.variables, _letter_forms(pres, word[0])[0], primes, rpow)
-
-
-def _as_parts(chain):
-    """The u-parts of a chain or u-chain; a bare chain is a series of order 1."""
-    if isinstance(chain, UChain):
-        return chain.pres, chain.parts
-    if isinstance(chain, Chain):
-        return chain.pres, (chain,)
-    raise ChainError(f"cannot trace a {type(chain).__name__}")
-
-
-def _trace_components(pres, parts):
-    order = len(parts)
-    parities = pres.module_parities
-    if parities is None:
-        raise ChainError(
-            f"algebra {pres.label} does not act on a graded module")
-    if pres.source is not None:
-        delta = pres.source.delta_full()
-    elif len(parities) == 1:
-        delta = ((0,),)
-    else:
-        raise ChainError(
-            f"algebra {pres.label} has no ambient factorization to trace against")
-    rpow = _curvature_powers(pres.variables, parities, delta)
-    buckets = {}
-    for upow, part in enumerate(parts):
-        for (alphas, word), coeff in part.terms.items():
-            value = _word_trace(pres, word, rpow)
-            if value.is_zero():
-                continue
-            forms = buckets.setdefault(
-                alphas, [DiffForm.zero(pres.variables) for _ in range(order)])
-            forms[upow] = forms[upow] + value.scale(coeff)
-    out = {}
-    for alphas, forms in buckets.items():
-        if any(not f.is_zero() for f in forms):
-            out[alphas] = FormSeries(pres.variables, forms, order)
-    return out
-
-
-def tr_nabla(chain) -> FormSeries:
-    """The supertrace of a chain or u-chain, as a form series in u of the
-    same order: a u-chain's own order, 1 for a bare chain.
-
-    Chains carrying Cech tags have componentwise traces; call tr_nabla_cech
-    for those.
-    """
-    pres, parts = _as_parts(chain)
-    comps = _trace_components(pres, parts)
-    stray = [a for a in comps if a]
-    if stray:
-        raise ChainError("chain carries Cech indices; use tr_nabla_cech")
-    return comps.get(frozenset(), FormSeries.zero(pres.variables, len(parts)))
-
-
-def tr_nabla_cech(chain) -> dict:
-    """Componentwise trace of a Cech-tagged chain: alpha set -> form series,
-    each of the chain's order (a u-chain's own order, 1 for a bare chain)."""
-    return _trace_components(*_as_parts(chain))
 
 
 def cech_residue(components) -> dict:

@@ -25,6 +25,11 @@ tuples of ints; the alphabet keeps each letter's atom (monomial, basis
 index) and memoizes letter products and differentials.  Atom words appear
 only where chains meet the outside: the Chain constructor takes them and
 Chain.words() gives them back.
+
+The supertrace of a chain to twisted de Rham forms, tr_nabla, ends this
+module: it turns each letter into a form-valued matrix and evaluates the
+trace sum of hkrtrace, the form side that the index computation shares and
+that imports nothing from here.
 """
 from __future__ import annotations
 
@@ -34,8 +39,9 @@ from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
 
+from .hkrtrace import MatrixForm, _curvature_powers, _trace_sum
 from .mfcat import MatrixFactorization, _exterior
-from .polyring import Poly, _exact, _mono_mul
+from .polyring import DiffForm, FormSeries, Poly, _exact, _mono_mul
 
 
 class ChainError(ValueError):
@@ -1233,3 +1239,89 @@ def euler_trace(chain: Chain) -> int | Fraction:
             continue
         total += coeff * pres.basis[idx][0][0]
     return total
+
+
+# -- the supertrace to forms ------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _letter_forms(pres, letter):
+    """A letter's matrix and its primed matrix, built once per
+    (presentation, letter id) and shared: callers only multiply them."""
+    mono, idx = pres.alphabet.atoms[letter]
+    scale = Poly.monomial(pres.variables, mono)
+    entries = {}
+    for r, row in enumerate(pres.basis[idx]):
+        for s, c in enumerate(row):
+            if c:
+                entries[(r, s)] = DiffForm.from_poly(scale * c)
+    matrix = MatrixForm(pres.variables, pres.module_parities, entries)
+    return matrix, matrix.prime()
+
+
+def _word_trace(pres, word, rpow):
+    if len(word) - 1 > len(pres.variables):
+        return DiffForm.zero(pres.variables)
+    primes = [_letter_forms(pres, x)[1] for x in word[1:]]
+    if any(p.is_zero() for p in primes):
+        return DiffForm.zero(pres.variables)
+    return _trace_sum(pres.variables, _letter_forms(pres, word[0])[0], primes, rpow)
+
+
+def _as_parts(chain):
+    """The u-parts of a chain or u-chain; a bare chain is a series of order 1."""
+    if isinstance(chain, UChain):
+        return chain.pres, chain.parts
+    if isinstance(chain, Chain):
+        return chain.pres, (chain,)
+    raise ChainError(f"cannot trace a {type(chain).__name__}")
+
+
+def _trace_components(pres, parts):
+    order = len(parts)
+    parities = pres.module_parities
+    if parities is None:
+        raise ChainError(
+            f"algebra {pres.label} does not act on a graded module")
+    if pres.source is not None:
+        delta = pres.source.delta_full()
+    elif len(parities) == 1:
+        delta = ((0,),)
+    else:
+        raise ChainError(
+            f"algebra {pres.label} has no ambient factorization to trace against")
+    rpow = _curvature_powers(pres.variables, parities, delta)
+    buckets = {}
+    for upow, part in enumerate(parts):
+        for (alphas, word), coeff in part.terms.items():
+            value = _word_trace(pres, word, rpow)
+            if value.is_zero():
+                continue
+            forms = buckets.setdefault(
+                alphas, [DiffForm.zero(pres.variables) for _ in range(order)])
+            forms[upow] = forms[upow] + value.scale(coeff)
+    out = {}
+    for alphas, forms in buckets.items():
+        if any(not f.is_zero() for f in forms):
+            out[alphas] = FormSeries(pres.variables, forms, order)
+    return out
+
+
+def tr_nabla(chain) -> FormSeries:
+    """The supertrace of a chain or u-chain, as a form series in u of the
+    same order: a u-chain's own order, 1 for a bare chain.
+
+    Chains carrying Cech tags have componentwise traces; call tr_nabla_cech
+    for those.
+    """
+    pres, parts = _as_parts(chain)
+    comps = _trace_components(pres, parts)
+    stray = [a for a in comps if a]
+    if stray:
+        raise ChainError("chain carries Cech indices; use tr_nabla_cech")
+    return comps.get(frozenset(), FormSeries.zero(pres.variables, len(parts)))
+
+
+def tr_nabla_cech(chain) -> dict:
+    """Componentwise trace of a Cech-tagged chain: alpha set -> form series,
+    each of the chain's order (a u-chain's own order, 1 for a bare chain)."""
+    return _trace_components(*_as_parts(chain))

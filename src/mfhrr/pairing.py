@@ -6,6 +6,12 @@ a signed Grothendieck residue of Chern-form top coefficients.  This module
 computes both sides, calibrates the overall sign once per arity class
 against the homological oracle, and packages corpus-scale comparison runs
 together with the seeded identity suites for the chain-level operators.
+
+The index side never touches the chain engine, so this module does not
+import hochschild at load time: each identity suite imports the operators
+it checks when it starts.  So hrr, pair and the other index commands run
+without loading it, and only hoch-verify and corpus, which run the suites,
+do.
 """
 
 from __future__ import annotations
@@ -17,24 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .groebner import GroebnerLimitError, VerificationError, check_isolated
-from .hkrtrace import cech_residue, chern_form, tr_nabla, tr_nabla_cech
-from .hochschild import (
-    B_op,
-    ChainError,
-    UChain,
-    b_op,
-    chain_parity,
-    endomorphism_presentation,
-    eta_construct,
-    euler_trace,
-    kunneth_product,
-    mixed_differential,
-    phi_construct,
-    psi_op,
-    random_chain,
-    sh_op,
-    y_power,
-)
+from .hkrtrace import cech_residue, chern_form
 from .homalg import euler_chi
 from .mfcat import (
     MatrixFactorization,
@@ -301,6 +290,8 @@ def _suite_presentations():
 
 
 def _single_word(pres, rng, max_len):
+    from .hochschild import ChainError, random_chain
+
     for _ in range(50):
         c = random_chain(pres, rng, max_len=max_len, max_exp=1, nterms=1)
         if c.terms:
@@ -310,6 +301,8 @@ def _single_word(pres, rng, max_len):
 
 def mixed_axioms_suite(*, count=200, seed=0) -> dict:
     """b^2 = 0, B^2 = 0, bB + Bb = 0 on seeded random normalized chains."""
+    from .hochschild import B_op, b_op, endomorphism_presentation, random_chain
+
     k_x2, k_xy = _suite_presentations()
     presentations = [endomorphism_presentation(k_x2),
                      endomorphism_presentation(k_xy)]
@@ -332,6 +325,9 @@ def shuffle_suite(*, count=100, seed=0, utrunc=4) -> dict:
     """The Connes exchange law and the full product commutation on u-series,
     on seeded random word pairs; the shuffle Leibniz rule b sh = sh (b x 1 +
     1 x b) is the full law's u^0 part, so it is checked there, once."""
+    from .hochschild import (B_op, UChain, chain_parity, endomorphism_presentation,
+                             kunneth_product, mixed_differential, sh_op)
+
     XY = ("x", "y")
     A = endomorphism_presentation(
         koszul_mf(XY, [parse_poly("x", XY)], [parse_poly("x", XY)]))
@@ -360,6 +356,9 @@ def shuffle_suite(*, count=100, seed=0, utrunc=4) -> dict:
 def trace_chain_map_suite(*, count=100, seed=0) -> dict:
     """tr(b + uB) = (-df + u d) tr on seeded random chains, each taken as a
     u-series of order 3."""
+    from .hochschild import (UChain, endomorphism_presentation, mixed_differential,
+                             random_chain, tr_nabla)
+
     k_x2, k_xy = _suite_presentations()
     rng = random.Random(seed)
     checked = failures = 0
@@ -382,6 +381,8 @@ def phi_eta_suite(*, jmax=4, order=6) -> dict:
 
     The constructors prove these identities before they return and raise
     ChainError when one fails, so the suite reports their verdicts."""
+    from .hochschild import ChainError, eta_construct, phi_construct
+
     phi_ok = eta_ok = True
     for j in range(jmax + 1):
         try:
@@ -399,6 +400,8 @@ def phi_eta_suite(*, jmax=4, order=6) -> dict:
 def local_residue_suite(*, jmax=4, order=3) -> dict:
     """res of the traced Cech classes against the operator trace: the
     one-variable index theorem in its local form."""
+    from .hochschild import eta_construct, euler_trace, tr_nabla_cech, y_power
+
     good = True
     values = []
     for j in range(jmax + 1):
@@ -414,6 +417,8 @@ def local_residue_suite(*, jmax=4, order=3) -> dict:
 
 def duality_suite(*, count=50, seed=0) -> dict:
     """Psi commutes with b and anticommutes with B on random chains."""
+    from .hochschild import B_op, b_op, endomorphism_presentation, psi_op, random_chain
+
     X = ("x",)
     P = koszul_mf(X, [parse_poly("x", X)], [parse_poly("x", X)])
     E = endomorphism_presentation(P)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -430,6 +431,29 @@ def test_console_entry_point_determinism():
     assert first.returncode == 0
     assert first.stdout == second.stdout
     assert b'"pass":true' in first.stdout
+
+
+CHAIN_ENGINE_PROBE = """
+import contextlib, io, sys
+import mfhrr.cli, mfhrr.pairing, mfhrr.homalg, mfhrr.residue, mfhrr.hkrtrace
+for argv in (["hrr", "--format", "text"],
+             ["hoch-verify", "--count", "2", "--jmax", "1"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = mfhrr.cli.main(argv)
+    print(argv[0], code, "mfhrr.hochschild" in sys.modules)
+"""
+
+
+def test_index_commands_do_not_load_the_chain_engine():
+    # the index path imports nothing from the chain engine: importing the
+    # index modules and running hrr leave hochschild unloaded, and only a
+    # chain suite loads it, when it starts (a fresh interpreter, since this
+    # test process has loaded every module already)
+    _, env = console_command()
+    run = subprocess.run([sys.executable, "-c", CHAIN_ENGINE_PROBE],
+                         capture_output=True, env=env, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["hrr 0 False", "hoch-verify 0 True"]
 
 
 def test_console_command_runs_the_declared_script():

@@ -704,6 +704,15 @@ def test_spair_budget_env(monkeypatch):
         buchberger([P("x^2"), P("x*y + y^2")])
 
 
+def test_spair_budget_env_rejects_a_negative_cap(monkeypatch):
+    # 0 is a cap (no S-pair at all); a negative value is a malformed setting,
+    # not a budget that every basis exhausts
+    monkeypatch.setenv("MFHRR_MAX_SPAIRS", "-4")
+    with pytest.raises(ValueError, match="MFHRR_MAX_SPAIRS must be a non-negative "
+                                         "integer, got '-4'"):
+        buchberger([P("x^2"), P("x*y + y^2")])
+
+
 # -- randomized consistency ---------------------------------------------------------
 
 small_polys = st.builds(

@@ -11,8 +11,6 @@ from mfhrr.hkrtrace import (
     MatrixForm,
     cech_residue,
     chern_form,
-    tr_nabla,
-    tr_nabla_cech,
 )
 from mfhrr.hochschild import (
     ChainError,
@@ -25,6 +23,8 @@ from mfhrr.hochschild import (
     polynomial_presentation,
     random_chain,
     tensor_presentation,
+    tr_nabla,
+    tr_nabla_cech,
     y_power,
 )
 from mfhrr.mfcat import direct_sum_mf, dual_mf, koszul_mf

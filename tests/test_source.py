@@ -53,19 +53,62 @@ def test_no_assertion_errors_raised_in_package():
     assert found == []
 
 
-def test_traced_methods_exist():
-    # bench/tracer.py wraps these methods on their classes by name: a
-    # refactor that renames or moves one would break the traced benchmark
+def _bench_tracer():
     path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("_bench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+class _ReadNames(dict):
+    """An empty span table that records every name looked up in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return default
+
+
+# span names that Tracer.metrics() reads although no function carries them;
+# each is a known stale metric, named with the ROADMAP item that mends it
+KNOWN_STALE_SPANS = {
+    "groebner.module_kernel": "ROADMAP item 1: the Ext path builds its graph "
+                              "bases through groebner.matrix_graph",
+}
+
+
+def test_traced_methods_exist():
+    # bench/tracer.py wraps these methods on their classes by name: a
+    # refactor that renames or moves one would break the traced benchmark
+    tracer = _bench_tracer()
     named = [*tracer.METHODS, *tracer.COUNTED]
     assert named
     missing = [key for key in named
                if key[2] not in vars(getattr(
                    importlib.import_module(f"mfhrr.{key[0]}"), key[1], object))]
     assert missing == []
+    # it names a function's span module.function from the function's own
+    # __module__ and __name__, and metrics() reads spans by that name: a
+    # function renamed, or moved to another module, would make its metric
+    # read 0 with no error
+    spans = _ReadNames()
+    reader = tracer.Tracer()
+    reader.totals = lambda: spans
+    reader.metrics()
+    functions = sorted(spans.read - set(tracer.METHODS.values()))
+    assert "pairing.phi_eta_suite" in functions
+    unresolved = []
+    for name in functions:
+        module, attr = name.split(".")
+        obj = getattr(importlib.import_module(f"mfhrr.{module}"), attr, None)
+        if (not callable(obj) or isinstance(obj, type)
+                or (obj.__module__, obj.__name__) != (f"mfhrr.{module}", attr)):
+            unresolved.append(name)
+    assert unresolved == sorted(KNOWN_STALE_SPANS)
 
 
 def test_no_unused_imports():
